@@ -6,7 +6,6 @@ Douglas-Rachford / alternating-projection / Dykstra feasibility
 solvers with a batch experiment harness.
 """
 
-from ._kernels import BACKEND, NUMBA_ENABLED
 from .affine import (
     AffineMarginalSet,
     make_affine_set,
@@ -18,7 +17,16 @@ from .box import HyperBox, make_box
 from .harness import ExperimentSpec, RunRecord, dedup_solutions, emit_outputs, run_experiment
 from .linalg import frobenius_inner, frobenius_norm, outer, spectral_norm
 from .operator import MarginalPair, ScaledMarginalOperator, unit_operator
-from .solvers import SolverConfig, SolverTrace, run, run_dr, run_dykstra, run_map
+from .solvers import (
+    BACKEND,
+    SolverConfig,
+    SolverTrace,
+    run,
+    run_batch,
+    run_dr,
+    run_dykstra,
+    run_map,
+)
 
 __version__ = "0.1.0"
 
@@ -28,7 +36,6 @@ __all__ = [
     "ExperimentSpec",
     "HyperBox",
     "MarginalPair",
-    "NUMBA_ENABLED",
     "RunRecord",
     "ScaledMarginalOperator",
     "SolverConfig",
@@ -44,6 +51,7 @@ __all__ = [
     "project_eigenpair",
     "project_unit_sums",
     "run",
+    "run_batch",
     "run_dr",
     "run_dykstra",
     "run_experiment",

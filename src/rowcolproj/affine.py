@@ -39,11 +39,13 @@ class AffineMarginalSet:
         Computed as T - A^+(A(T) - (s, r)); the pseudoinverse absorbs
         any inconsistent component of the raw targets.
         """
-        T = as_matrix(T, shape=self.shape, name="T")
+        return self._project(as_matrix(T, shape=self.shape, name="T"))
+
+    def _project(self, T):
+        """Unchecked projection of a matrix or of each matrix of a (B, m, n) stack."""
         s, r = self.target
-        pair = self.op.apply(T)
-        residual = MarginalPair(pair.row_part - s, pair.col_part - r)
-        return T - self.op.pinv_apply(residual)
+        row_part, col_part = self.op._apply(T)
+        return T - self.op._pinv(row_part - s, col_part - r)
 
 
 def make_affine_set(op, s, r):

@@ -62,7 +62,10 @@ class HyperBox:
         round half away from zero, then re-clamp to the integer
         endpoints ceil(lower) and floor(upper).
         """
-        T = as_matrix(T, shape=self.shape, name="T")
+        return self._project(as_matrix(T, shape=self.shape, name="T"))
+
+    def _project(self, T):
+        """Unchecked projection of a matrix or of each matrix of a (B, m, n) stack."""
         clamped = np.clip(T, self.lower, self.upper)
         if not self.integer_restricted:
             return clamped

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .affine import make_affine_set, project_bistochastic, project_eigenpair, project_unit_sums
 from .box import make_box
 from .harness import ExperimentSpec, draw_start, emit_outputs, run_experiment
@@ -218,8 +217,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; invalid targets, specs or configs exit with status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"rowcolproj {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -50,8 +50,15 @@ def frobenius_inner(A, B):
 
 
 def frobenius_norm(T):
-    """Frobenius norm sqrt(sum_ij T_ij^2)."""
-    return float(np.sqrt(np.sum(np.square(np.asarray(T, dtype=np.float64)))))
+    """Frobenius norm sqrt(sum_ij T_ij^2) of a matrix, or of each matrix of a stack.
+
+    A matrix gives a float; a (B, m, n) stack gives B norms, each equal
+    bit for bit to the norm of its matrix alone.
+    """
+    T = np.asarray(T, dtype=np.float64)
+    if T.ndim < 3:
+        return float(np.sqrt(np.sum(np.square(T))))
+    return np.sqrt(np.sum(np.square(T), axis=(-2, -1)))
 
 
 def outer(v, u):
@@ -110,13 +117,16 @@ def spectral_norm(T, tol=POWER_ITERATION_TOL, max_steps=POWER_ITERATION_MAX_STEP
     if not T.any():
         return 0.0
     n = T.shape[1]
-    starts = [np.full(n, 1.0 / np.sqrt(n))]
-    starts += [np.eye(n)[k] for k in range(n)]
-    for v in starts:
-        sigma = _power_iterate(T, v, tol, max_steps)
+    sigma = _power_iterate(T, np.full(n, 1.0 / np.sqrt(n)), tol, max_steps)
+    # Each basis start is built only once the starts before it collapsed;
+    # some e_k has T e_k != 0, so the loop ends with a value.
+    for k in range(n):
         if sigma is not None:
-            return sigma
-    return 0.0  # unreachable for finite input: some basis vector has T e_k != 0
+            break
+        basis = np.zeros(n)
+        basis[k] = 1.0
+        sigma = _power_iterate(T, basis, tol, max_steps)
+    return 0.0 if sigma is None else sigma
 
 
 def _power_iterate(T, v, tol, max_steps):

@@ -52,6 +52,7 @@ class ScaledMarginalOperator:
     f_norm_sq: float = field(init=False)
     e_is_zero: bool = field(init=False)
     f_is_zero: bool = field(init=False)
+    _fe: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = _frozen(as_vector(self.e, name="e"))
@@ -62,6 +63,7 @@ class ScaledMarginalOperator:
         object.__setattr__(self, "f_norm_sq", float(f @ f))
         object.__setattr__(self, "e_is_zero", bool(np.all(e == 0.0)))
         object.__setattr__(self, "f_is_zero", bool(np.all(f == 0.0)))
+        object.__setattr__(self, "_fe", _frozen(np.outer(f, e)))
 
     @property
     def n(self):
@@ -86,8 +88,11 @@ class ScaledMarginalOperator:
 
     def apply(self, T):
         """A(T) = (T e, T^T f): e-weighted row sums and f-weighted column sums."""
-        T = self._check_matrix(T)
-        return MarginalPair(T @ self.e, T.T @ self.f)
+        return MarginalPair(*self._apply(self._check_matrix(T)))
+
+    def _apply(self, T):
+        """Unchecked A on a matrix or on each matrix of a (B, m, n) stack."""
+        return T @ self.e, np.swapaxes(T, -1, -2) @ self.f
 
     def adjoint_apply(self, p):
         """A*(y, x) = y e^T + f x^T."""
@@ -105,18 +110,28 @@ class ScaledMarginalOperator:
         With e = 0 only the f x^T / |f|^2 term survives; with f = 0 only
         y e^T / |e|^2; the zero operator has zero pseudoinverse.
         """
-        y, x = self._check_pair(p)
+        return self._pinv(*self._check_pair(p))
+
+    def _pinv(self, y, x):
+        """Unchecked A^+ on a pair, or pairwise on stacks y (B, m) and x (B, n).
+
+        Stacked pairs give, pair by pair, the same bits as single ones:
+        every step is elementwise, and np.vecdot takes one dot product
+        per pair as the 1-d product f @ y does.
+        """
         e, f = self.e, self.f
         if self.e_is_zero and self.f_is_zero:
-            return np.zeros(self.shape)
+            return np.zeros(y.shape[:-1] + self.shape)
         if self.e_is_zero:
-            return np.outer(f, x) / self.f_norm_sq
+            return f[:, None] * x[..., None, :] / self.f_norm_sq
         if self.f_is_zero:
-            return np.outer(y, e) / self.e_norm_sq
+            return y[..., :, None] * e / self.e_norm_sq
         denom = self.e_norm_sq + self.f_norm_sq
-        fe = np.outer(f, e)
-        term_row = (np.outer(y, e) - (float(f @ y) / denom) * fe) / self.e_norm_sq
-        term_col = (np.outer(f, x) - (float(e @ x) / denom) * fe) / self.f_norm_sq
+        fe = self._fe
+        row_coeff = (np.vecdot(y, f) / denom)[..., None, None]
+        col_coeff = (np.vecdot(x, e) / denom)[..., None, None]
+        term_row = (y[..., :, None] * e - row_coeff * fe) / self.e_norm_sq
+        term_col = (f[:, None] * x[..., None, :] - col_coeff * fe) / self.f_norm_sq
         return term_row + term_col
 
     def project_range(self, p):

@@ -20,6 +20,13 @@ In the integer-restricted case the same updates run unchanged with the
 rounding box projection, and feasibility additionally requires exact
 integer entries whose row/column sums match the projected targets in
 integer arithmetic; this separates float noise from true feasibility.
+
+One engine runs every start of a batch as a (B, m, n) stack: each step
+is elementwise or acts on each matrix of the stack alone, so a start's
+delta_k sequence and first feasible point are bit for bit the same
+whether it runs alone (:func:`run`) or inside any batch
+(:func:`run_batch`). A start leaves the stack at its first feasible
+iterate.
 """
 
 from dataclasses import dataclass, field
@@ -27,12 +34,17 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .affine import AffineMarginalSet
 from .box import HyperBox
 from .linalg import as_matrix, frobenius_norm
 
-_ALG_IDS = {"DR": _kernels.DR, "MAP": _kernels.MAP, "DYK": _kernels.DYK}
+# The one solver implementation; recorded in experiment summaries.
+BACKEND = "numpy"
+
+ALGORITHMS = ("DR", "MAP", "DYK")
+
+# Every integer of magnitude up to 2^53 is a float64, so integer sums below it are exact.
+EXACT_INTEGER_LIMIT = 2.0 ** 53
 
 
 @dataclass(frozen=True)
@@ -44,7 +56,7 @@ class SolverConfig:
 
     def __post_init__(self):
         alg = str(self.algorithm).upper()
-        if alg not in _ALG_IDS:
+        if alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected DR, MAP or DYK")
         object.__setattr__(self, "algorithm", alg)
         if self.max_iterations < 1:
@@ -75,96 +87,109 @@ def _integer_goals(affine_set):
     return s_goal, r_goal, integral
 
 
-def _exact_integer_sums(T, s_goal, r_goal):
-    if np.any(np.floor(T) != T):
-        return False
-    return bool(np.all(T.sum(axis=1) == s_goal) and np.all(T.sum(axis=0) == r_goal))
+def _exact_integer_sums(P, s_goal, r_goal):
+    """Per matrix of the integer-box stack P: integer entries with the goal sums.
+
+    _check_box keeps every row and column sum of an integer box below
+    2^53, so these float sums are exact whatever their order.
+    """
+    integral = np.all(np.floor(P) == P, axis=(1, 2))
+    rows = np.all(P.sum(axis=2) == s_goal, axis=1)
+    cols = np.all(P.sum(axis=1) == r_goal, axis=1)
+    return integral & rows & cols
 
 
-def _run_python(alg_id, affine_set, box, T0, cfg):
-    T = T0.copy()
-    R = np.zeros_like(T0)
+def _solve(affine_set, box, T, cfg):
+    """Run cfg.algorithm from every start of the (B, m, n) stack T; one trace each."""
+    alg, last = cfg.algorithm, cfg.max_iterations
+    size = T.shape[0]
+    deltas = np.empty((size, last + 1))
+    stop = np.full(size, last)          # iteration of each start's final delta
+    found = [None] * size
+    active = np.arange(size)            # start index of each matrix in the stack
+    R = np.zeros_like(T)
     s_goal, r_goal, targets_integral = _integer_goals(affine_set)
-    integer_mode = box.integer_restricted
-    deltas = []
-    iterates = [] if cfg.record_trace else None
-    candidates = [] if (cfg.record_trace and alg_id == _kernels.DYK) else None
-    feasible_iter = None
-    feasible_matrix = None
-    for k in range(cfg.max_iterations + 1):
+    iterates = [[] for _ in range(size)] if cfg.record_trace else None
+    candidates = [[] for _ in range(size)] if cfg.record_trace and alg == "DYK" else None
+    for k in range(last + 1):
         if iterates is not None:
-            iterates.append(T.copy())
-        PA = box.project(T)
-        PB = affine_set.project(PA)
+            for j, Tj in zip(active, T):
+                iterates[j].append(Tj.copy())
+        PA = box._project(T)
+        PB = affine_set._project(PA)
         delta = frobenius_norm(PA - PB)
-        deltas.append(delta)
+        deltas[active, k] = delta
         feasible = delta <= cfg.feasibility_tol
-        if feasible and integer_mode:
-            feasible = targets_integral and _exact_integer_sums(PA, s_goal, r_goal)
-        if feasible:
-            feasible_iter = k
-            feasible_matrix = PA
+        if box.integer_restricted and feasible.any():
+            feasible[feasible] = targets_integral & _exact_integer_sums(PA[feasible], s_goal, r_goal)
+        if feasible.any():
+            for j, P in zip(active[feasible], PA[feasible]):
+                stop[j] = k
+                found[j] = P
+            if feasible.all():
+                break
+            keep = ~feasible
+            active, T, R, PA, PB = active[keep], T[keep], R[keep], PA[keep], PB[keep]
+        if k == last:
             break
-        if k == cfg.max_iterations:
-            break
-        if alg_id == _kernels.DR:
-            T = T - PA + affine_set.project(2.0 * PA - T)
-        elif alg_id == _kernels.MAP:
+        if alg == "DR":
+            T = T - PA + affine_set._project(2.0 * PA - T)
+        elif alg == "MAP":
             T = PB
         else:
-            AK = box.project(T + R)
+            W = T + R
+            AK = box._project(W)
             if candidates is not None:
-                candidates.append(AK.copy())
-            R = T + R - AK
-            T = affine_set.project(AK)
-    return SolverTrace(
-        algorithm=cfg.algorithm,
-        deltas=np.asarray(deltas),
-        first_feasible_iteration=feasible_iter,
-        first_feasible_matrix=feasible_matrix,
-        converged=feasible_iter is not None,
-        iterates=iterates,
-        box_candidates=candidates,
-    )
+                for j, A in zip(active, AK):
+                    candidates[j].append(A.copy())
+            R = W - AK
+            T = affine_set._project(AK)
+    return [
+        SolverTrace(
+            algorithm=alg,
+            deltas=deltas[j, :stop[j] + 1].copy(),
+            first_feasible_iteration=None if found[j] is None else int(stop[j]),
+            first_feasible_matrix=found[j],
+            converged=found[j] is not None,
+            iterates=None if iterates is None else iterates[j],
+            box_candidates=None if candidates is None else candidates[j],
+        )
+        for j in range(size)
+    ]
 
 
-def _run_kernel(alg_id, affine_set, box, T0, cfg):
-    op = affine_set.op
-    s, r = affine_set.target
-    s_goal, r_goal, targets_integral = _integer_goals(affine_set)
-    deltas, count, ff_iter, ff_matrix = _kernels.solver_run(
-        alg_id, T0, op.e, op.f, s, r, op.e_norm_sq, op.f_norm_sq,
-        box.lower, box.upper, box.integer_restricted,
-        box.int_lower, box.int_upper,
-        s_goal, r_goal, targets_integral,
-        cfg.max_iterations, cfg.feasibility_tol,
-    )
-    converged = ff_iter >= 0
-    return SolverTrace(
-        algorithm=cfg.algorithm,
-        deltas=deltas[:count].copy(),
-        first_feasible_iteration=int(ff_iter) if converged else None,
-        first_feasible_matrix=ff_matrix if converged else None,
-        converged=converged,
-    )
+def _check_box(affine_set, box):
+    if box.shape != affine_set.shape:
+        raise ValueError(f"box shape {box.shape} does not match constraint shape {affine_set.shape}")
+    if box.integer_restricted:
+        # the exact integer-sum check needs every partial sum of box entries below 2^53
+        reach = np.maximum(np.abs(box.int_lower), np.abs(box.int_upper))
+        if max(reach.sum(axis=1).max(), reach.sum(axis=0).max()) >= EXACT_INTEGER_LIMIT:
+            raise ValueError("integer-restricted box is too large: a row or column sum "
+                             "of its entries could reach 2^53, beyond exact float64 integers")
 
 
 def run(affine_set: AffineMarginalSet, box: HyperBox, T0, cfg: SolverConfig):
     """Run cfg.algorithm from T0; see the module docstring for the updates."""
     T0 = as_matrix(T0, shape=affine_set.shape, name="T0")
-    if box.shape != affine_set.shape:
-        raise ValueError(f"box shape {box.shape} does not match constraint shape {affine_set.shape}")
-    alg_id = _ALG_IDS[cfg.algorithm]
-    op = affine_set.op
-    use_kernel = (
-        _kernels.NUMBA_ENABLED
-        and not cfg.record_trace
-        and not op.e_is_zero
-        and not op.f_is_zero
-    )
-    if use_kernel:
-        return _run_kernel(alg_id, affine_set, box, T0, cfg)
-    return _run_python(alg_id, affine_set, box, T0, cfg)
+    _check_box(affine_set, box)
+    return _solve(affine_set, box, T0[None], cfg)[0]
+
+
+def run_batch(affine_set: AffineMarginalSet, box: HyperBox, starts, cfg: SolverConfig):
+    """Run cfg.algorithm from each matrix of the (B, m, n) stack ``starts``.
+
+    Returns one :class:`SolverTrace` per start, each bit for bit the
+    trace :func:`run` gives for that start alone.
+    """
+    starts = np.asarray(starts, dtype=np.float64)
+    if starts.ndim != 3 or starts.shape[0] == 0 or starts.shape[1:] != affine_set.shape:
+        raise ValueError(f"starts must be a nonempty stack of {affine_set.shape} matrices, "
+                         f"got shape {starts.shape}")
+    if not np.all(np.isfinite(starts)):
+        raise ValueError("starts contain non-finite entries")
+    _check_box(affine_set, box)
+    return _solve(affine_set, box, starts, cfg)
 
 
 def _run_named(name, affine_set, box, T0, cfg):

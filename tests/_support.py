@@ -85,3 +85,47 @@ def nearest_integer_in_interval(x, lo, hi):
     """Enumerate the integer interval; nearest to x, ties away from zero."""
     candidates = range(int(np.ceil(lo)), int(np.floor(hi)) + 1)
     return min(candidates, key=lambda z: (abs(x - z), -abs(z)))
+
+
+def reference_run(affine_set, box, T0, cfg):
+    """One start at a time through the public projectors: the per-start
+    solver loop that the stacked engine replaced, kept as its reference.
+
+    Returns (deltas, first feasible iteration or None, matrix or None).
+    """
+    s_bar, r_bar = affine_set.projected_target
+    s_goal, r_goal = np.round(s_bar), np.round(r_bar)
+    targets_integral = np.all(s_bar == s_goal) and np.all(r_bar == r_goal)
+    T = np.array(T0, dtype=np.float64)
+    R = np.zeros_like(T)
+    deltas = []
+    for k in range(cfg.max_iterations + 1):
+        PA = box.project(T)
+        PB = affine_set.project(PA)
+        delta = float(np.sqrt(np.sum(np.square(PA - PB))))
+        deltas.append(delta)
+        feasible = delta <= cfg.feasibility_tol
+        if feasible and box.integer_restricted:
+            feasible = (targets_integral and not np.any(np.floor(PA) != PA)
+                        and np.all(PA.sum(axis=1) == s_goal) and np.all(PA.sum(axis=0) == r_goal))
+        if feasible:
+            return np.asarray(deltas), k, PA
+        if k == cfg.max_iterations:
+            break
+        if cfg.algorithm == "DR":
+            T = T - PA + affine_set.project(2.0 * PA - T)
+        elif cfg.algorithm == "MAP":
+            T = PB
+        else:
+            AK = box.project(T + R)
+            R = T + R - AK
+            T = affine_set.project(AK)
+    return np.asarray(deltas), None, None
+
+
+def same_bits(a, b):
+    """Both None, or arrays with equal shapes and identical bytes."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -1,16 +1,13 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL
-lines. JIT warmup happens once in a fixture so the timed budgets measure
-the work itself, not one-time compilation.
+lines.
 """
 
 import time
 
 import numpy as np
-import pytest
 
-import rowcolproj._kernels as kernels
 from rowcolproj.affine import (
     make_affine_set,
     project_bistochastic,
@@ -33,11 +30,6 @@ from _support import (
     penrose_violation,
     random_operator,
 )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_backend():
-    kernels.warmup()
 
 
 def _report(num, name, ok, detail):

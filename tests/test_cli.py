@@ -159,3 +159,19 @@ def test_console_entry_point_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "project" in proc.stdout and "experiment" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    # inconsistent totals: the range-projected row targets are (-2.5, 7.5)
+    (["solve", "--row-sums", "0,10", "--col-sums", "0,0"], "nonnegative"),
+    (["solve", "--row-sums", "1e17,1e17", "--col-sums", "1e17,1e17", "--case", "integer"], "2^53"),
+    (["solve", "--iters", "0"], "max_iterations"),
+    (["experiment", "--iters", "0"], "max_iterations"),
+])
+def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys):
+    rc = main(argv + (["--out-dir", str(tmp_path)] if argv[0] == "experiment" else []))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"rowcolproj {argv[0]}: error: ")
+    assert message in captured.err and captured.err.count("\n") == 1

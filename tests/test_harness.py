@@ -1,8 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rowcolproj import harness
 from rowcolproj.affine import make_affine_set
 from rowcolproj.box import make_box
 from rowcolproj.harness import (
@@ -17,8 +21,9 @@ from rowcolproj.harness import (
 )
 from rowcolproj.linalg import frobenius_norm
 from rowcolproj.operator import unit_operator
+from rowcolproj.solvers import SolverConfig
 
-from _support import DEMO_COL_SUMS, DEMO_ROW_SUMS
+from _support import DEMO_COL_SUMS, DEMO_ROW_SUMS, reference_run, same_bits
 
 
 def small_spec(**kw):
@@ -144,6 +149,61 @@ def test_parallel_jobs_equal_sequential():
         for key in a.results:
             assert a.results[key].iterations == b.results[key].iterations
             assert np.array_equal(a.results[key].deltas, b.results[key].deltas)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(1, 4),
+    case=st.sampled_from(["convex", "integer"]),
+    num_runs=st.integers(2, 7),
+    block_runs=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_runs_do_not_depend_on_jobs_or_batch(m, n, case, num_runs, block_runs, seed):
+    counts = np.random.default_rng(seed).integers(0, 10, size=(m, n))
+    spec = ExperimentSpec(s=counts.sum(axis=1), r=counts.sum(axis=0), case=case,
+                          num_runs=num_runs, seed=seed, max_iterations=30,
+                          init_low=-20.0, init_high=20.0)
+    sequential, _ = run_experiment(spec, jobs=1)
+    parallel, _ = run_experiment(spec, jobs=2)
+    default_block = harness.BLOCK_ENTRIES
+    harness.BLOCK_ENTRIES = block_runs * m * n
+    try:
+        blocked, _ = run_experiment(spec, jobs=1)
+    finally:
+        harness.BLOCK_ENTRIES = default_block
+    affine_set = make_affine_set(unit_operator(m, n), spec.s, spec.r)
+    box = make_box(spec.s, spec.r, integer_restricted=case == "integer")
+    for seq, par, blk in zip(sequential, parallel, blocked):
+        T0 = draw_start(spec, seq.run_index)
+        for key, res in seq.results.items():
+            for other in (par.results[key], blk.results[key]):
+                assert same_bits(res.deltas, other.deltas)
+                assert res.iterations == other.iterations
+                assert res.distance == other.distance
+                assert same_bits(res.solution, other.solution)
+            cfg = SolverConfig(algorithm=key, max_iterations=30)
+            deltas, iteration, matrix = reference_run(affine_set, box, T0, cfg)
+            assert same_bits(res.deltas, deltas)
+            assert res.iterations == iteration
+            if case == "integer":
+                assert same_bits(res.solution, None if matrix is None else matrix.astype(np.int64))
+
+
+def test_batch_memory_does_not_grow_with_num_runs():
+    # 600 starts of 32x48 take 7.4 MB; the engine keeps several stacks of
+    # that size alive unless the runs are split into bounded blocks
+    counts = np.random.default_rng(8).integers(0, 10, size=(32, 48))
+    spec = ExperimentSpec(s=counts.sum(axis=1), r=counts.sum(axis=0), num_runs=600,
+                          max_iterations=2)
+    tracemalloc.start()
+    try:
+        run_experiment(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 def test_dedup_counts_identical_matrices_once():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,9 +120,31 @@ def test_spectral_norm_matches_svd():
 
 
 def test_spectral_norm_null_start_recovery():
-    # all-ones start lies exactly in the null space of T^T T here
-    T = np.array([[1.0, -1.0], [1.0, -1.0]])
-    assert spectral_norm(T) == pytest.approx(2.0, rel=1e-9)
+    # all-ones start lies exactly in the null space of T^T T here; in the
+    # last matrix the first basis start does too, so e_1 gives the answer
+    cases = [([[1.0, -1.0], [1.0, -1.0]], 2.0), ([[1.0, -1.0]], np.sqrt(2.0)),
+             ([[0.0, 1.0, -1.0]], np.sqrt(2.0))]
+    for T, expected in cases:
+        assert spectral_norm(np.array(T)) == pytest.approx(expected, rel=1e-9)
+
+
+def test_spectral_norm_memory_is_linear_in_size():
+    T = np.random.default_rng(6).normal(size=(256, 384))
+    tracemalloc.start()
+    try:
+        spectral_norm(T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+def test_frobenius_norm_of_a_stack_matches_each_matrix():
+    stack = np.random.default_rng(7).normal(size=(5, 6, 7))
+    norms = frobenius_norm(stack)
+    assert norms.shape == (5,)
+    assert all(norms[b] == frobenius_norm(stack[b]) for b in range(5))
+    assert isinstance(frobenius_norm(stack[0]), float)
 
 
 def test_arithmetic_helpers():

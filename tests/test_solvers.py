@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import rowcolproj._kernels as kernels
 from rowcolproj.affine import make_affine_set
-from rowcolproj.box import make_box
+from rowcolproj.box import HyperBox, make_box
 from rowcolproj.linalg import frobenius_norm
 from rowcolproj.operator import ScaledMarginalOperator, unit_operator
-from rowcolproj.solvers import SolverConfig, _run_python, run, run_dr, run_dykstra, run_map
+from rowcolproj.solvers import SolverConfig, run, run_batch, run_dr, run_dykstra, run_map
 
-from _support import DEMO_COL_SUMS, DEMO_ROW_SUMS, DEMO_SOLUTION
+from _support import (
+    DEMO_COL_SUMS,
+    DEMO_ROW_SUMS,
+    DEMO_SOLUTION,
+    OPERATOR_MODES,
+    random_operator,
+    reference_run,
+    same_bits,
+)
 
 ALGS = ("DR", "MAP", "DYK")
 
@@ -78,50 +87,6 @@ def test_traces_are_bit_identical(alg):
         assert t1.first_feasible_iteration == t2.first_feasible_iteration
         if t1.converged:
             assert np.array_equal(t1.first_feasible_matrix, t2.first_feasible_matrix)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend not active")
-@pytest.mark.parametrize("alg", ALGS)
-def test_kernel_agrees_with_python_path_convex(alg):
-    affine_set, box = demo_problem()
-    alg_id = {"DR": kernels.DR, "MAP": kernels.MAP, "DYK": kernels.DYK}[alg]
-    rng = np.random.default_rng(61)
-    for _ in range(5):
-        T0 = rng.uniform(-100, 100, size=(4, 5))
-        cfg = SolverConfig(algorithm=alg)
-        fast = run(affine_set, box, T0, cfg)
-        slow = _run_python(alg_id, affine_set, box, T0, cfg)
-        assert fast.converged == slow.converged
-        assert fast.first_feasible_iteration == slow.first_feasible_iteration
-        assert fast.deltas.shape == slow.deltas.shape
-        assert np.max(np.abs(fast.deltas - slow.deltas)) <= 1e-9
-        if fast.converged:
-            assert np.max(np.abs(fast.first_feasible_matrix - slow.first_feasible_matrix)) <= 1e-9
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend not active")
-@pytest.mark.parametrize("alg", ALGS)
-def test_kernel_and_python_solutions_both_verify_integer(alg):
-    # rounding makes the integer dynamics discontinuous, so a 1-ulp
-    # summation-order difference may legitimately fork the two paths;
-    # what must hold is that each path's answer verifies exactly
-    affine_set, box = demo_problem(integer=True)
-    alg_id = {"DR": kernels.DR, "MAP": kernels.MAP, "DYK": kernels.DYK}[alg]
-    rng = np.random.default_rng(61)
-    checked = 0
-    for _ in range(5):
-        T0 = rng.uniform(-100, 100, size=(4, 5))
-        cfg = SolverConfig(algorithm=alg)
-        for trace in (run(affine_set, box, T0, cfg),
-                      _run_python(alg_id, affine_set, box, T0, cfg)):
-            if trace.converged:
-                checked += 1
-                F = trace.first_feasible_matrix
-                assert box.contains(F)
-                assert np.array_equal(F.sum(axis=1), DEMO_ROW_SUMS)
-                assert np.array_equal(F.sum(axis=0), DEMO_COL_SUMS)
-    if alg != "MAP":
-        assert checked > 0
 
 
 @pytest.mark.parametrize("alg", ALGS)
@@ -246,7 +211,7 @@ def test_delta_sequence_length_bounded():
 
 
 def test_degenerate_operator_runs_on_python_path():
-    # row-sum-only constraints (f = 0); the kernel does not handle this case
+    # row-sum-only constraints (f = 0)
     op = ScaledMarginalOperator(np.ones(3), np.zeros(2))
     s = np.array([3.0, 6.0])
     r = np.array([2.0, 3.0, 4.0])
@@ -258,3 +223,88 @@ def test_degenerate_operator_runs_on_python_path():
     F = trace.first_feasible_matrix
     assert np.allclose(F.sum(axis=1), s, atol=1e-8)
     assert box.contains(F)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    n=st.integers(1, 5),
+    mode=st.sampled_from(("unit",) + OPERATOR_MODES),
+    integer=st.booleans(),
+    size=st.integers(1, 6),
+    max_iterations=st.integers(1, 40),
+    tol=st.sampled_from([1e-9, 1e-4, 1e-1]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_batch_runs_match_reference_and_single_runs_bit_for_bit(
+        m, n, mode, integer, size, max_iterations, tol, seed):
+    # The targets are the weighted sums of a nonnegative integer matrix in
+    # the box, so the problem is feasible; integer runs can only succeed
+    # with unit weights, where the projected targets are integral.
+    rng = np.random.default_rng(seed)
+    M = rng.integers(0, 10, size=(m, n)).astype(float)
+    op = unit_operator(m, n) if mode == "unit" else random_operator(rng, m, n, mode)
+    affine_set = make_affine_set(op, M @ op.e, M.T @ op.f)
+    box = make_box(M.sum(axis=1), M.sum(axis=0), integer_restricted=integer)
+    starts = rng.uniform(-20.0, 20.0, size=(size, m, n))
+    for alg in ALGS:
+        cfg = SolverConfig(algorithm=alg, max_iterations=max_iterations, feasibility_tol=tol,
+                           record_trace=True)
+        batch = run_batch(affine_set, box, starts, cfg)
+        assert len(batch) == size
+        for T0, trace in zip(starts, batch):
+            deltas, iteration, matrix = reference_run(affine_set, box, T0, cfg)
+            assert same_bits(trace.deltas, deltas)
+            assert trace.first_feasible_iteration == iteration
+            assert trace.converged == (iteration is not None)
+            assert same_bits(trace.first_feasible_matrix, matrix)
+            alone = run(affine_set, box, T0, cfg)
+            assert same_bits(trace.deltas, alone.deltas)
+            assert trace.first_feasible_iteration == alone.first_feasible_iteration
+            assert same_bits(trace.first_feasible_matrix, alone.first_feasible_matrix)
+            assert same_bits(np.array(trace.iterates), np.array(alone.iterates))
+            assert len(trace.iterates) == len(deltas)
+            if alg == "DYK":
+                assert same_bits(np.array(trace.box_candidates), np.array(alone.box_candidates))
+
+
+def test_run_batch_rejects_bad_stacks():
+    affine_set, box = demo_problem()
+    cfg = SolverConfig(algorithm="DR")
+    for starts in (np.zeros((4, 5)), np.zeros((0, 4, 5)), np.zeros((2, 5, 4))):
+        with pytest.raises(ValueError, match="stack"):
+            run_batch(affine_set, box, starts, cfg)
+    bad = np.zeros((2, 4, 5))
+    bad[1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        run_batch(affine_set, box, bad, cfg)
+    with pytest.raises(ValueError, match="box shape"):
+        run_batch(affine_set, make_box(np.ones(4), np.ones(4)), np.zeros((1, 4, 5)), cfg)
+
+
+def test_integer_box_rejects_sums_beyond_exact_floats():
+    limit = 2.0 ** 53
+    cfg = SolverConfig(algorithm="MAP", max_iterations=1)
+
+    def solve(s, r, box):
+        affine_set = make_affine_set(unit_operator(len(s), len(r)), s, r)
+        return run(affine_set, box, np.zeros(box.shape), cfg)
+
+    # 2 * 1e17 > 2^53: integer row sums of such entries are not exact in float64
+    huge = make_box([1e17, 1e17], [1e17, 1e17], integer_restricted=True)
+    assert np.array_equal(huge.project(np.full((2, 2), 0.4)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="2\\^53"):
+        solve([1e17, 1e17], [1e17, 1e17], huge)
+    with pytest.raises(ValueError, match="2\\^53"):
+        run_batch(make_affine_set(unit_operator(2, 2), [1e17, 1e17], [1e17, 1e17]), huge,
+                  np.zeros((3, 2, 2)), cfg)
+    s, r = [limit / 2, 1.0], [limit / 2, limit / 2]
+    with pytest.raises(ValueError, match="2\\^53"):
+        solve(s, r, make_box(s, r, integer_restricted=True))
+    column = HyperBox(lower=-np.full((4, 1), limit / 4), upper=np.zeros((4, 1)),
+                      integer_restricted=True)
+    with pytest.raises(ValueError, match="2\\^53"):
+        solve(np.zeros(4), [0.0], column)
+    s, r = [limit / 2 - 1, 1.0], [limit / 2 - 1, limit / 2 - 1]
+    solve(s, r, make_box(s, r, integer_restricted=True))
+    solve([1e17, 1e17], [1e17, 1e17], make_box([1e17, 1e17], [1e17, 1e17]))  # no exact-sum claim
