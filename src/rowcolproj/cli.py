@@ -14,17 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from .affine import make_affine_set, project_bistochastic, project_eigenpair, project_unit_sums
-from .box import make_box
-from .harness import ExperimentSpec, draw_start, emit_outputs, run_experiment
+from .harness import ExperimentSpec, _build_problem, _fmt, draw_start, emit_outputs, run_experiment
 from .linalg import as_matrix, as_vector, spectral_norm
-from .operator import ScaledMarginalOperator, unit_operator
+from .operator import ScaledMarginalOperator
 from .solvers import SolverConfig, run
 
 DEFAULT_CONFIG = "demo_4x5.json"
-
-
-def _fmt(x):
-    return f"{x:.17g}"
 
 
 def read_matrix(path):
@@ -112,13 +107,6 @@ def cmd_project(args):
             result = make_affine_set(op, s, r).project(T)
     write_matrix(result, args.output)
     return 0
-
-
-def _build_problem(s, r, case):
-    affine_set = make_affine_set(unit_operator(s.shape[0], r.shape[0]), s, r)
-    s_bar, r_bar = affine_set.projected_target
-    box = make_box(s_bar, r_bar, integer_restricted=(case == "integer"))
-    return affine_set, box
 
 
 def cmd_solve(args):

@@ -31,7 +31,7 @@ from .operator import unit_operator
 # ``harness.run`` at run time (perfbench/tracing.py) still find it.
 from .solvers import BACKEND, SolverConfig, run, run_batch  # noqa: F401
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Float64 entries per engine call's stack of starts (2 MiB). The engine
 # keeps several stacks of that size alive, so this bounds a batch's
@@ -151,44 +151,59 @@ def _classify(record, spec):
     record.distance_order = _order_label(dist, spec.distance_tie_tol)
 
 
-def _build_problem(spec):
-    op = unit_operator(spec.m, spec.n)
-    affine_set = make_affine_set(op, spec.s, spec.r)
+def _build_problem(s, r, case):
+    """Affine set for targets (s, r) and the box built from their range projection.
+
+    The box [0, min(s_bar_i, r_bar_j)] needs nonnegative range-projected
+    targets (s_bar, r_bar); nonnegative but inconsistent targets can
+    still project to negative ones, and the error names them.
+    """
+    affine_set = make_affine_set(unit_operator(len(s), len(r)), s, r)
     s_bar, r_bar = affine_set.projected_target
-    box = make_box(s_bar, r_bar, integer_restricted=(spec.case == "integer"))
+    if np.any(s_bar < 0.0) or np.any(r_bar < 0.0):
+        raise ValueError(
+            "the range-projected targets have negative entries, but the box needs "
+            f"nonnegative ones: s_bar = ({', '.join(map(_fmt, s_bar))}), "
+            f"r_bar = ({', '.join(map(_fmt, r_bar))})")
+    box = make_box(s_bar, r_bar, integer_restricted=(case == "integer"))
     return affine_set, box
 
 
-def _algorithm_result(spec, T0, trace):
-    distance = None
-    solution = None
-    if trace.converged:
-        distance = spectral_norm(T0 - trace.first_feasible_matrix)
-        if spec.case == "integer":
-            solution = trace.first_feasible_matrix.astype(np.int64)
-    return AlgorithmResult(
-        converged=trace.converged,
-        iterations=trace.first_feasible_iteration,
-        distance=distance,
-        deltas=trace.deltas,
-        solution=solution,
-    )
+def _algorithm_results(spec, starts, trace_list):
+    """One AlgorithmResult per start; the distances come from one stacked norm."""
+    hit = [pos for pos, trace in enumerate(trace_list) if trace.converged]
+    distances = [None] * len(trace_list)
+    if hit:
+        found = np.stack([trace_list[pos].first_feasible_matrix for pos in hit])
+        for pos, distance in zip(hit, spectral_norm(starts[hit] - found)):
+            distances[pos] = float(distance)
+    return [
+        AlgorithmResult(
+            converged=trace.converged,
+            iterations=trace.first_feasible_iteration,
+            distance=distance,
+            deltas=trace.deltas,
+            solution=(trace.first_feasible_matrix.astype(np.int64)
+                      if trace.converged and spec.case == "integer" else None),
+        )
+        for trace, distance in zip(trace_list, distances)
+    ]
 
 
 def _run_block(spec, affine_set, box, indices):
     """Solve the runs ``indices`` with one stacked engine call per algorithm."""
     starts = np.stack([draw_start(spec, i) for i in indices])
-    traces = {
-        key: run_batch(affine_set, box, starts,
-                       SolverConfig(algorithm=key, max_iterations=spec.max_iterations,
-                                    feasibility_tol=spec.feasibility_tol))
+    results = {
+        key: _algorithm_results(spec, starts, run_batch(
+            affine_set, box, starts,
+            SolverConfig(algorithm=key, max_iterations=spec.max_iterations,
+                         feasibility_tol=spec.feasibility_tol)))
         for key in ALGORITHM_KEYS
     }
     records = []
     for pos, run_index in enumerate(indices):
-        results = {key: _algorithm_result(spec, starts[pos], traces[key][pos])
-                   for key in ALGORITHM_KEYS}
-        record = RunRecord(run_index=run_index, results=results)
+        record = RunRecord(run_index=run_index,
+                           results={key: results[key][pos] for key in ALGORITHM_KEYS})
         _classify(record, spec)
         records.append(record)
     return records
@@ -196,7 +211,7 @@ def _run_block(spec, affine_set, box, indices):
 
 def _run_chunk(spec, indices):
     """Solve the runs ``indices`` in blocks of at most BLOCK_ENTRIES start entries."""
-    affine_set, box = _build_problem(spec)
+    affine_set, box = _build_problem(spec.s, spec.r, spec.case)
     size = max(1, BLOCK_ENTRIES // (spec.m * spec.n))
     records = []
     for lo in range(0, len(indices), size):
@@ -301,7 +316,7 @@ def summarize(records, spec):
             "delta_padding": "stopped runs carry their final delta forward in the statistics",
             "rng": "PCG64 with SeedSequence(seed, spawn_key=(run_index,)) per run",
             "init_interval": "half-open [init_low, init_high)",
-            "distance_norm": "spectral norm via power iteration of start minus first feasible point",
+            "distance_norm": "largest singular value (LAPACK SVD) of start minus first feasible point",
         },
         "algorithms": [DISPLAY_NAMES[k] for k in ALGORITHM_KEYS],
         "convergence_counts": convergence,
@@ -375,7 +390,7 @@ def emit_outputs(records, summary, out_dir):
                     "run_index": "0-based run number",
                     "<alg>_converged": "true/false, feasibility reached within max_iterations",
                     "<alg>_iterations": "first iteration k with delta_k within tolerance (empty if none)",
-                    "<alg>_distance": "spectral norm of start minus first feasible point, 17 significant digits",
+                    "<alg>_distance": "largest singular value (LAPACK SVD) of start minus first feasible point, 17 significant digits",
                     "feasibility_order": "converged algorithms ordered by iterations; '=' joins exact ties; 'None' if no algorithm converged",
                     "distance_order": "converged algorithms ordered by distance; '=' joins values within distance_tie_tol",
                     "<alg>_solution": "integer case only: row-major integer entries of the found matrix, space-separated",

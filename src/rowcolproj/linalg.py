@@ -8,9 +8,6 @@ and treated as immutable afterwards.
 
 import numpy as np
 
-POWER_ITERATION_MAX_STEPS = 10_000
-POWER_ITERATION_TOL = 1e-10
-
 
 def as_vector(v, dim=None, name="vector"):
     """Validate and return ``v`` as a finite float64 1-d array."""
@@ -66,81 +63,16 @@ def outer(v, u):
     return np.outer(np.asarray(v, dtype=np.float64), np.asarray(u, dtype=np.float64))
 
 
-def matvec(T, x):
-    """Matrix-vector product T x."""
-    T = np.asarray(T, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if T.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch: {T.shape} vs {x.shape}")
-    return T @ x
+def spectral_norm(T):
+    """Largest singular value (LAPACK SVD) of a matrix, or of each matrix of a stack.
 
-def tmatvec(T, y):
-    """Transposed product T^T y."""
-    T = np.asarray(T, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if T.shape[0] != y.shape[0]:
-        raise ValueError(f"shape mismatch: {T.shape}^T vs {y.shape}")
-    return T.T @ y
-
-
-def add(A, B):
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    _check_same_shape(A, B)
-    return A + B
-
-def subtract(A, B):
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    _check_same_shape(A, B)
-    return A - B
-
-def scale(alpha, T):
-    return float(alpha) * np.asarray(T, dtype=np.float64)
-
-
-def spectral_norm(T, tol=POWER_ITERATION_TOL, max_steps=POWER_ITERATION_MAX_STEPS):
-    """Largest singular value of T by power iteration on T^T T.
-
-    Deterministic: the start vector is the normalized all-ones vector,
-    and iteration stops once successive singular-value estimates agree
-    to relative accuracy ``tol`` (or after ``max_steps`` steps). If the
-    start vector lies exactly in the null space of T^T T, the standard
-    basis vectors are tried in order, so a nonzero matrix never reports
-    0. The zero matrix returns 0.0 without iterating.
+    A matrix gives a float; a (B, m, n) stack gives B norms, each equal
+    bit for bit to the norm of its matrix alone (LAPACK runs on each
+    matrix separately). The zero matrix gives 0.0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     T = np.asarray(T, dtype=np.float64)
-    if T.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {T.shape}")
-    if not T.any():
-        return 0.0
-    n = T.shape[1]
-    sigma = _power_iterate(T, np.full(n, 1.0 / np.sqrt(n)), tol, max_steps)
-    # Each basis start is built only once the starts before it collapsed;
-    # some e_k has T e_k != 0, so the loop ends with a value.
-    for k in range(n):
-        if sigma is not None:
-            break
-        basis = np.zeros(n)
-        basis[k] = 1.0
-        sigma = _power_iterate(T, basis, tol, max_steps)
-    return 0.0 if sigma is None else sigma
-
-
-def _power_iterate(T, v, tol, max_steps):
-    """One power-iteration sweep; None if the start collapses to the null space."""
-    sigma = 0.0
-    for _ in range(max_steps):
-        w = T.T @ (T @ v)
-        lam = float(v @ w)  # Rayleigh quotient for T^T T
-        norm_w = float(np.sqrt(w @ w))
-        if norm_w == 0.0:
-            return None
-        sigma_new = float(np.sqrt(max(lam, 0.0)))
-        v = w / norm_w
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma = sigma_new
-    return sigma
+    if T.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {T.shape}")
+    if T.ndim == 2:
+        return float(np.linalg.norm(T, 2))
+    return np.linalg.norm(T, 2, axis=(-2, -1))

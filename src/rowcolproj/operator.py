@@ -52,7 +52,6 @@ class ScaledMarginalOperator:
     f_norm_sq: float = field(init=False)
     e_is_zero: bool = field(init=False)
     f_is_zero: bool = field(init=False)
-    _fe: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = _frozen(as_vector(self.e, name="e"))
@@ -63,7 +62,6 @@ class ScaledMarginalOperator:
         object.__setattr__(self, "f_norm_sq", float(f @ f))
         object.__setattr__(self, "e_is_zero", bool(np.all(e == 0.0)))
         object.__setattr__(self, "f_is_zero", bool(np.all(f == 0.0)))
-        object.__setattr__(self, "_fe", _frozen(np.outer(f, e)))
 
     @property
     def n(self):
@@ -102,10 +100,11 @@ class ScaledMarginalOperator:
     def pinv_apply(self, p):
         """Moore-Penrose inverse A^+(y, x), by the exact four-case formula.
 
-        Both weights nonzero:
+        Both weights nonzero, with d = |e|^2 + |f|^2, it is u e^T + f v^T for
 
-            (1/|e|^2) (y e^T - (f.y)/(|e|^2+|f|^2) f e^T)
-          + (1/|f|^2) (f x^T - (e.x)/(|e|^2+|f|^2) f e^T)
+            u = (y - (f.y/d) f) / |e|^2,   v = (x - (e.x/d) e) / |f|^2,
+
+        which expands to (y e^T - (f.y/d) f e^T)/|e|^2 + (f x^T - (e.x/d) f e^T)/|f|^2.
 
         With e = 0 only the f x^T / |f|^2 term survives; with f = 0 only
         y e^T / |e|^2; the zero operator has zero pseudoinverse.
@@ -127,12 +126,9 @@ class ScaledMarginalOperator:
         if self.f_is_zero:
             return y[..., :, None] * e / self.e_norm_sq
         denom = self.e_norm_sq + self.f_norm_sq
-        fe = self._fe
-        row_coeff = (np.vecdot(y, f) / denom)[..., None, None]
-        col_coeff = (np.vecdot(x, e) / denom)[..., None, None]
-        term_row = (y[..., :, None] * e - row_coeff * fe) / self.e_norm_sq
-        term_col = (f[:, None] * x[..., None, :] - col_coeff * fe) / self.f_norm_sq
-        return term_row + term_col
+        u = (y - (np.vecdot(y, f) / denom)[..., None] * f) / self.e_norm_sq
+        v = (x - (np.vecdot(x, e) / denom)[..., None] * e) / self.f_norm_sq
+        return u[..., :, None] * e + f[:, None] * v[..., None, :]
 
     def project_range(self, p):
         """Orthogonal projection of (y, x) onto ran A.

@@ -60,6 +60,24 @@ def explicit_pinv(op):
     return D
 
 
+def nine_pass_pinv(op, y, x):
+    """A^+(y, x) for nonzero weights as the sum of the two textbook terms
+
+        (y e^T - (f.y/d) f e^T)/|e|^2 + (f x^T - (e.x/d) f e^T)/|f|^2,
+
+    d = |e|^2 + |f|^2, one full-size pass per product, difference and
+    quotient; pairwise on stacks y (B, m) and x (B, n).
+    """
+    e, f = op.e, op.f
+    denom = op.e_norm_sq + op.f_norm_sq
+    fe = np.outer(f, e)
+    row_coeff = (np.vecdot(y, f) / denom)[..., None, None]
+    col_coeff = (np.vecdot(x, e) / denom)[..., None, None]
+    term_row = (y[..., :, None] * e - row_coeff * fe) / op.e_norm_sq
+    term_col = (f[:, None] * x[..., None, :] - col_coeff * fe) / op.f_norm_sq
+    return term_row + term_col
+
+
 def penrose_violation(M, D):
     """Largest entrywise violation of the four Penrose conditions."""
     MD = M @ D

@@ -175,3 +175,28 @@ def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys)
     assert captured.out == ""
     assert captured.err.startswith(f"rowcolproj {argv[0]}: error: ")
     assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_inconsistent_targets_error_names_the_range_projection(tmp_path, capsys):
+    # both given vectors are nonnegative; their range projection is not
+    rc = main(["solve", "--row-sums", "0,10", "--col-sums", "0,0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "range-projected targets have negative entries" in err
+    assert "s_bar = (-2.5, 7.5), r_bar = (2.5, 2.5)" in err
+    config = tmp_path / "inconsistent.json"
+    config.write_text(json.dumps({"s": [0, 10], "r": [0, 0], "num_runs": 3}))
+    rc = main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "s_bar = (-2.5, 7.5)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alg", ["dr", "map", "dyk"])
+def test_solve_prints_the_distance_of_experiment_run_zero(alg, tmp_path, capsys):
+    assert main(["experiment", "--runs", "2", "--seed", "4",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    header, row0 = (tmp_path / "out" / "runs.csv").read_text().splitlines()[:2]
+    distance = dict(zip(header.split(","), row0.split(",")))[f"{alg}_distance"]
+    capsys.readouterr()
+    assert main(["solve", "--alg", alg, "--seed", "4"]) == 0
+    assert f"distance to start (spectral): {distance}\n" in capsys.readouterr().out

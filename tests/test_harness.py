@@ -21,7 +21,7 @@ from rowcolproj.harness import (
 )
 from rowcolproj.linalg import frobenius_norm
 from rowcolproj.operator import unit_operator
-from rowcolproj.solvers import SolverConfig
+from rowcolproj.solvers import SolverConfig, run
 
 from _support import DEMO_COL_SUMS, DEMO_ROW_SUMS, reference_run, same_bits
 
@@ -137,6 +137,37 @@ def test_distance_uses_spectral_norm_of_difference():
     assert 0 < res.distance <= 1.0000001 * frobenius_norm(T0) + 300.0
 
 
+@pytest.mark.parametrize("case", ["convex", "integer"])
+@pytest.mark.parametrize("block_runs", [None, 1, 2, 3])
+def test_distance_is_lapack_norm_of_start_minus_first_feasible(case, block_runs, monkeypatch):
+    spec = small_spec(case=case, num_runs=10)
+    if block_runs is not None:
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_runs * spec.m * spec.n)
+    records, _ = run_experiment(spec)
+    affine_set = make_affine_set(unit_operator(spec.m, spec.n), spec.s, spec.r)
+    box = make_box(spec.s, spec.r, integer_restricted=case == "integer")
+    converged = 0
+    for rec in records:
+        T0 = draw_start(spec, rec.run_index)
+        for key, res in rec.results.items():
+            trace = run(affine_set, box, T0, SolverConfig(algorithm=key))
+            assert res.converged == trace.converged
+            if trace.converged:
+                converged += 1
+                assert res.distance == np.linalg.norm(T0 - trace.first_feasible_matrix, 2)
+            else:
+                assert res.distance is None
+    assert converged >= len(records)
+
+
+def test_inconsistent_targets_name_their_negative_range_projection():
+    # sum(s) = 10 but sum(r) = 0: the range projection is s_bar = (-2.5, 7.5), r_bar = (2.5, 2.5)
+    spec = ExperimentSpec(s=[0.0, 10.0], r=[0.0, 0.0], num_runs=2)
+    with pytest.raises(ValueError, match=r"range-projected .* s_bar = \(-2\.5, 7\.5\), "
+                                         r"r_bar = \(2\.5, 2\.5\)"):
+        run_experiment(spec)
+
+
 def test_parallel_jobs_equal_sequential():
     spec = small_spec(num_runs=12)
     seq_records, seq_summary = run_experiment(spec, jobs=1)
@@ -187,6 +218,8 @@ def test_runs_do_not_depend_on_jobs_or_batch(m, n, case, num_runs, block_runs, s
             deltas, iteration, matrix = reference_run(affine_set, box, T0, cfg)
             assert same_bits(res.deltas, deltas)
             assert res.iterations == iteration
+            if matrix is not None:
+                assert res.distance == np.linalg.norm(T0 - matrix, 2)
             if case == "integer":
                 assert same_bits(res.solution, None if matrix is None else matrix.astype(np.int64))
 
@@ -247,7 +280,8 @@ def test_emit_outputs_files(tmp_path):
     deltas = (tmp_path / "out" / "deltas.csv").read_text().splitlines()
     assert len(deltas) == 1 + 3 * (spec.max_iterations + 1)
     loaded = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert loaded["schema_version"] == 1
+    assert loaded["schema_version"] == 2
+    assert loaded["conventions"]["distance_norm"].startswith("largest singular value (LAPACK SVD)")
     assert loaded["spec"]["num_runs"] == 8
     assert loaded["conventions"]["rounding_tie_rule"] == "half-away-from-zero"
     schema = json.loads((tmp_path / "out" / "schema.json").read_text())

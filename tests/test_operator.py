@@ -11,8 +11,10 @@ from _support import (
     DEMO_SOLUTION,
     OPERATOR_MODES,
     explicit_pinv,
+    nine_pass_pinv,
     penrose_violation,
     random_operator,
+    same_bits,
 )
 
 
@@ -119,6 +121,15 @@ def test_penrose_conditions(mode):
 def test_penrose_unit_weights_4x5():
     op = unit_operator(4, 5)
     assert penrose_violation(build_explicit(op), explicit_pinv(op)) <= 1e-10
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (4, 1), (4, 5), (32, 48), (256, 384)])
+def test_pinv_matches_textbook_terms_bit_for_bit_for_unit_weights(m, n):
+    op = unit_operator(m, n)
+    rng = np.random.default_rng(m * 1000 + n)
+    y, x = rng.uniform(-100.0, 100.0, size=(3, m)), rng.uniform(-100.0, 100.0, size=(3, n))
+    assert same_bits(op._pinv(y, x), nine_pass_pinv(op, y, x))
+    assert same_bits(op.pinv_apply(MarginalPair(y[0], x[0])), nine_pass_pinv(op, y[0], x[0]))
 
 
 def test_project_range_annihilates_orthogonal_direction():
