@@ -2,10 +2,17 @@
 
 Targets (s, r) need not be consistent: at construction they are
 projected onto ran A, yielding the nearest attainable pair
-(s_bar, r_bar), and C is always nonempty. The general projector is the
-composition T - A^+(A(T) - (s, r)); the specialized fast paths
-(unit-weight entrywise update, the gamma-eigenpair sandwich formula,
-and the bistochastic case) give identical results on their domains.
+(s_bar, r_bar), and C is always nonempty. The projector is the one
+closed form T - A^+(A(T) - (s, r)), which covers every weight pair,
+the degenerate ones (e = 0 and/or f = 0) included.
+
+The classical sets are inputs to it, not separate code paths:
+
+- Romero's prescribed row and column sums: unit weights, targets (s, r);
+- Glunt-Hayden-Reams' {X : X e = gamma e, X^T f = gamma f} (square X):
+  weights (e, f), targets (gamma e, gamma f);
+- Khoury's bistochastic-sum set (square X, all sums 1): unit weights,
+  all-ones targets.
 """
 
 from dataclasses import dataclass
@@ -13,11 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, as_vector
-from .operator import MarginalPair, ScaledMarginalOperator, unit_operator
-
-# Relative slack on |sum(s) - sum(r)| under which unit-weight targets are
-# treated as consistent and the O(mn) entrywise update is used.
-CONSISTENCY_RTOL = 1e-9
+from .operator import MarginalPair, ScaledMarginalOperator
 
 
 @dataclass(frozen=True)
@@ -66,70 +69,3 @@ def make_affine_set(op, s, r):
     )
     return AffineMarginalSet(op=op, target=target, projected_target=projected,
                              consistency_residual=residual)
-
-
-def project_unit_sums(s, r, T):
-    """Project T onto the matrices with row sums s and column sums r.
-
-    Unit-weight specialization. When sum(s) and sum(r) agree (up to a
-    relative slack) the O(mn) entrywise update
-
-        T_ij + (s_i - rowsum_i)/n + (r_j - colsum_j)/m
-             + (total(T) - sum(r))/(m n)
-
-    is used; otherwise the targets are range-projected first and the
-    general path runs. Both paths agree wherever both apply.
-    """
-    T = as_matrix(T, name="T")
-    m, n = T.shape
-    s = as_vector(s, dim=m, name="s")
-    r = as_vector(r, dim=n, name="r")
-    sum_s = float(np.sum(s))
-    sum_r = float(np.sum(r))
-    if abs(sum_s - sum_r) <= CONSISTENCY_RTOL * (1.0 + abs(sum_s) + abs(sum_r)):
-        row = T.sum(axis=1)
-        col = T.sum(axis=0)
-        total = float(np.sum(row))
-        return (
-            T
-            + (s - row)[:, None] / n
-            + (r - col)[None, :] / m
-            + (total - sum_r) / (m * n)
-        )
-    return make_affine_set(unit_operator(m, n), s, r).project(T)
-
-
-def project_eigenpair(e, f, gamma, T):
-    """Project square T onto {X : X e = gamma e, X^T f = gamma f}.
-
-    Requires nonzero e and f. With E = e e^T/|e|^2 and F = f f^T/|f|^2
-    the projection is the sandwich formula
-
-        gamma I + (I - F)(T - gamma I)(I - E).
-    """
-    T = as_matrix(T, name="T")
-    n = T.shape[0]
-    if T.shape[0] != T.shape[1]:
-        raise ValueError(f"T must be square, got shape {T.shape}")
-    e = as_vector(e, dim=n, name="e")
-    f = as_vector(f, dim=n, name="f")
-    if np.all(e == 0.0) or np.all(f == 0.0):
-        raise ValueError("e and f must be nonzero")
-    eye = np.eye(n)
-    ide = eye - np.outer(e, e) / float(e @ e)
-    idf = eye - np.outer(f, f) / float(f @ f)
-    return float(gamma) * eye + idf @ (T - float(gamma) * eye) @ ide
-
-
-def project_bistochastic(T):
-    """Nearest matrix with every row and column sum equal to 1.
-
-    Square matrices only; with J = (1/n) ones(n, n) the projection is
-    J + (I - J) T (I - J). Nonnegativity is not enforced.
-    """
-    T = as_matrix(T, name="T")
-    n = T.shape[0]
-    if T.shape[0] != T.shape[1]:
-        raise ValueError(f"T must be square, got shape {T.shape}")
-    eye_j = np.eye(n) - np.full((n, n), 1.0 / n)
-    return np.full((n, n), 1.0 / n) + eye_j @ T @ eye_j

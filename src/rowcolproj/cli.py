@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .affine import make_affine_set, project_bistochastic, project_eigenpair, project_unit_sums
+from .affine import make_affine_set
 from .harness import ExperimentSpec, _build_problem, _fmt, draw_start, emit_outputs, run_experiment
 from .linalg import as_matrix, as_vector, spectral_norm
 from .operator import ScaledMarginalOperator
@@ -67,6 +67,7 @@ def _parse_vector(text, name):
 
 
 def load_config(path=None):
+    """The JSON config at ``path``, or the bundled 4x5 instance when it is None."""
     if path is None:
         with resources.files("rowcolproj.data").joinpath(DEFAULT_CONFIG).open() as fh:
             return json.load(fh)
@@ -77,35 +78,44 @@ def load_config(path=None):
 
 
 def _targets_from_args(args, shape):
-    cfg = load_config(getattr(args, "config", None))
-    s = _parse_vector(args.row_sums, "row sums") if args.row_sums else np.asarray(cfg["s"])
-    r = _parse_vector(args.col_sums, "column sums") if args.col_sums else np.asarray(cfg["r"])
-    if shape is not None and (s.shape[0], r.shape[0]) != shape:
-        raise SystemExit(
-            f"targets imply shape {(s.shape[0], r.shape[0])} but the matrix is {shape[0]}x{shape[1]}"
-        )
-    return s, r
+    """Targets (s, r): the flags, else the config, validated as an experiment config."""
+    spec = ExperimentSpec.from_config(
+        load_config(args.config),
+        s=_parse_vector(args.row_sums, "row sums") if args.row_sums else None,
+        r=_parse_vector(args.col_sums, "column sums") if args.col_sums else None,
+    )
+    if shape is not None and (spec.m, spec.n) != shape:
+        raise SystemExit(f"targets imply shape {(spec.m, spec.n)} but the matrix is {shape[0]}x{shape[1]}")
+    return spec.s, spec.r
 
 
 def cmd_project(args):
+    """Project a matrix file; each --spec only picks the weights (e, f) and the targets.
+
+    unit-sums: unit weights, targets from the flags or config; general:
+    the given weights and targets; ghr: the given weights, targets
+    (gamma e, gamma f); bistochastic: unit weights, all-ones targets.
+    """
     T = read_matrix(args.input)
     m, n = T.shape
+    if args.spec in ("ghr", "bistochastic") and m != n:
+        raise ValueError(f"--spec {args.spec} needs a square matrix, got {m}x{n}")
+    e, f = np.ones(n), np.ones(m)
+    if args.spec in ("general", "ghr"):
+        if args.col_weights:
+            e = _parse_vector(args.col_weights, "col weights")
+        if args.row_weights:
+            f = _parse_vector(args.row_weights, "row weights")
     if args.spec == "bistochastic":
-        result = project_bistochastic(T)
+        s, r = np.ones(m), np.ones(n)
     elif args.spec == "ghr":
-        e = _parse_vector(args.col_weights, "col weights") if args.col_weights else np.ones(n)
-        f = _parse_vector(args.row_weights, "row weights") if args.row_weights else np.ones(m)
-        result = project_eigenpair(e, f, args.gamma, T)
+        s, r = args.gamma * e, args.gamma * f
     else:
         s, r = _targets_from_args(args, (m, n))
-        if args.spec == "unit-sums":
-            result = project_unit_sums(s, r, T)
-        else:
-            e = _parse_vector(args.col_weights, "col weights") if args.col_weights else np.ones(n)
-            f = _parse_vector(args.row_weights, "row weights") if args.row_weights else np.ones(m)
-            op = ScaledMarginalOperator(e, f)
-            result = make_affine_set(op, s, r).project(T)
-    write_matrix(result, args.output)
+    op = ScaledMarginalOperator(e, f)
+    if op.shape != T.shape:
+        raise ValueError(f"the weights imply shape {op.m}x{op.n} but the matrix is {m}x{n}")
+    write_matrix(make_affine_set(op, s, r).project(T), args.output)
     return 0
 
 

@@ -17,8 +17,11 @@ byte-identical regardless of worker scheduling.
 """
 
 import json
+import math
+import numbers
+import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -29,7 +32,7 @@ from .linalg import as_vector, spectral_norm
 from .operator import unit_operator
 # ``run`` is not called here; the name stays so that tools which wrap
 # ``harness.run`` at run time (perfbench/tracing.py) still find it.
-from .solvers import BACKEND, SolverConfig, run, run_batch  # noqa: F401
+from .solvers import ALGORITHMS, BACKEND, SolverConfig, run, run_batch  # noqa: F401
 
 SCHEMA_VERSION = 2
 
@@ -38,7 +41,6 @@ SCHEMA_VERSION = 2
 # memory whatever num_runs is; results do not depend on the blocking.
 BLOCK_ENTRIES = 2 ** 18
 
-ALGORITHM_KEYS = ("DR", "MAP", "DYK")
 DISPLAY_NAMES = {"DR": "DR", "MAP": "MAP", "DYK": "Dyk"}
 
 RUNS_CSV = "runs.csv"
@@ -71,11 +73,17 @@ class ExperimentSpec:
         object.__setattr__(self, "r", r)
         if self.case not in ("convex", "integer"):
             raise ValueError(f"case must be 'convex' or 'integer', got {self.case!r}")
+        for name in ("num_runs", "seed", "max_iterations"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("init_low", "init_high"):
+            _check_finite(name, getattr(self, name))
+        for name in ("feasibility_tol", "distance_tie_tol"):
+            _check_finite(name, getattr(self, name), nonnegative=True)
         if self.num_runs < 1:
             raise ValueError("num_runs must be >= 1")
         if not self.init_low < self.init_high:
             raise ValueError("init_low must be strictly below init_high")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
@@ -90,12 +98,41 @@ class ExperimentSpec:
 
     @classmethod
     def from_config(cls, cfg, **overrides):
-        """Build a spec from a plain dict (e.g. a loaded JSON config)."""
-        merged = dict(cfg)
+        """Build a spec from a plain dict (e.g. a loaded JSON config).
+
+        Overrides that are None are skipped; ``m`` and ``n`` keys are
+        ignored, since the targets imply them. A config that is not a
+        dict, has an unknown key or lacks ``s`` or ``r`` raises a
+        ValueError that names the key.
+        """
+        if not isinstance(cfg, dict):
+            raise ValueError(f"a config must be a JSON object of spec fields, got {type(cfg).__name__}")
+        merged = {k: v for k, v in cfg.items() if k not in ("m", "n")}
         merged.update({k: v for k, v in overrides.items() if v is not None})
-        merged.pop("m", None)
-        merged.pop("n", None)
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(merged) - set(names))
+        if unknown:
+            raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                             f"the keys are {', '.join(names)} (m and n are ignored)")
+        missing = [k for k in ("s", "r") if k not in merged]
+        if missing:
+            raise ValueError(f"the config has no {' or '.join(missing)} (target row and column sums)")
         return cls(**merged)
+
+
+def _integer(name, value):
+    """``value`` as an int; a float such as 2.5 or a string is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_finite(name, value, nonnegative=False):
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value >= 0 or not nonnegative)):
+        kind = "a finite nonnegative number" if nonnegative else "a finite number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -142,7 +179,7 @@ def _order_label(entries, tie_tol):
 def _classify(record, spec):
     feas = []
     dist = []
-    for key in ALGORITHM_KEYS:
+    for key in ALGORITHMS:
         res = record.results[key]
         if res.converged:
             feas.append((DISPLAY_NAMES[key], res.iterations))
@@ -198,12 +235,12 @@ def _run_block(spec, affine_set, box, indices):
             affine_set, box, starts,
             SolverConfig(algorithm=key, max_iterations=spec.max_iterations,
                          feasibility_tol=spec.feasibility_tol)))
-        for key in ALGORITHM_KEYS
+        for key in ALGORITHMS
     }
     records = []
     for pos, run_index in enumerate(indices):
         record = RunRecord(run_index=run_index,
-                           results={key: results[key][pos] for key in ALGORITHM_KEYS})
+                           results={key: results[key][pos] for key in ALGORITHMS})
         _classify(record, spec)
         records.append(record)
     return records
@@ -242,7 +279,7 @@ def _delta_statistics(records, spec):
     """
     length = spec.max_iterations + 1
     stats = {}
-    for key in ALGORITHM_KEYS:
+    for key in ALGORITHMS:
         table = np.empty((len(records), length))
         for row, rec in enumerate(records):
             deltas = rec.results[key].deltas
@@ -269,7 +306,7 @@ def dedup_solutions(records):
     per_algorithm = {}
     all_keys = set()
     total_found = 0
-    for key in ALGORITHM_KEYS:
+    for key in ALGORITHMS:
         matrices = [rec.results[key].solution for rec in records
                     if rec.results[key].solution is not None]
         unique = {mat.tobytes() for mat in matrices}
@@ -289,7 +326,7 @@ def dedup_solutions(records):
 def summarize(records, spec):
     convergence = {
         DISPLAY_NAMES[key]: sum(1 for rec in records if rec.results[key].converged)
-        for key in ALGORITHM_KEYS
+        for key in ALGORITHMS
     }
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -318,7 +355,7 @@ def summarize(records, spec):
             "init_interval": "half-open [init_low, init_high)",
             "distance_norm": "largest singular value (LAPACK SVD) of start minus first feasible point",
         },
-        "algorithms": [DISPLAY_NAMES[k] for k in ALGORITHM_KEYS],
+        "algorithms": [DISPLAY_NAMES[k] for k in ALGORITHMS],
         "convergence_counts": convergence,
         "feasibility_order_counts": _count_labels(records, "feasibility_order"),
         "distance_order_counts": _count_labels(records, "distance_order"),
@@ -346,23 +383,23 @@ def emit_outputs(records, summary, out_dir):
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     header = ["run_index"]
-    for key in ALGORITHM_KEYS:
+    for key in ALGORITHMS:
         low = DISPLAY_NAMES[key].lower()
         header += [f"{low}_converged", f"{low}_iterations", f"{low}_distance"]
     header += ["feasibility_order", "distance_order"]
-    header += [f"{DISPLAY_NAMES[key].lower()}_solution" for key in ALGORITHM_KEYS]
+    header += [f"{DISPLAY_NAMES[key].lower()}_solution" for key in ALGORITHMS]
 
     lines = [",".join(header)]
     for rec in records:
         cells = [str(rec.run_index)]
-        for key in ALGORITHM_KEYS:
+        for key in ALGORITHMS:
             res = rec.results[key]
             cells.append("true" if res.converged else "false")
             cells.append("" if res.iterations is None else str(res.iterations))
             cells.append("" if res.distance is None else _fmt(res.distance))
         cells.append(rec.feasibility_order)
         cells.append(rec.distance_order)
-        for key in ALGORITHM_KEYS:
+        for key in ALGORITHMS:
             cells.append(_solution_cell(rec.results[key].solution))
         lines.append(",".join(cells))
     (out_dir / RUNS_CSV).write_text("\n".join(lines) + "\n")
@@ -371,7 +408,7 @@ def emit_outputs(records, summary, out_dir):
     stats = summary["delta_stats"]
     length = len(next(iter(stats.values()))["median"])
     for k in range(length):
-        for key in ALGORITHM_KEYS:
+        for key in ALGORITHMS:
             name = DISPLAY_NAMES[key]
             s = stats[name]
             delta_lines.append(

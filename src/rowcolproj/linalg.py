@@ -11,7 +11,10 @@ import numpy as np
 
 def as_vector(v, dim=None, name="vector"):
     """Validate and return ``v`` as a finite float64 1-d array."""
-    arr = np.asarray(v, dtype=np.float64)
+    try:
+        arr = np.asarray(v, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"{name} must hold numbers: {exc}") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
@@ -23,7 +26,10 @@ def as_vector(v, dim=None, name="vector"):
 
 def as_matrix(T, shape=None, name="matrix"):
     """Validate and return ``T`` as a finite float64 2-d array."""
-    arr = np.asarray(T, dtype=np.float64)
+    try:
+        arr = np.asarray(T, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"{name} must hold numbers: {exc}") from None
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 2-d array, got shape {arr.shape}")
     if shape is not None and arr.shape != tuple(shape):
@@ -31,19 +37,6 @@ def as_matrix(T, shape=None, name="matrix"):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def _check_same_shape(A, B):
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-
-
-def frobenius_inner(A, B):
-    """Entrywise (Frobenius) inner product sum_ij A_ij * B_ij."""
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    _check_same_shape(A, B)
-    return float(np.sum(A * B))
 
 
 def frobenius_norm(T):
@@ -56,11 +49,6 @@ def frobenius_norm(T):
     if T.ndim < 3:
         return float(np.sqrt(np.sum(np.square(T))))
     return np.sqrt(np.sum(np.square(T), axis=(-2, -1)))
-
-
-def outer(v, u):
-    """Rank-one matrix v u^T with entries v_i * u_j."""
-    return np.outer(np.asarray(v, dtype=np.float64), np.asarray(u, dtype=np.float64))
 
 
 def spectral_norm(T):

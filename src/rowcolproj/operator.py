@@ -148,22 +148,8 @@ class ScaledMarginalOperator:
         return MarginalPair(y - coeff * self.f, x + coeff * self.e)
 
     def project_range_adjoint(self, T):
-        """Orthogonal projection of T onto ran A* = {y e^T + f x^T}."""
-        T = self._check_matrix(T)
-        e, f = self.e, self.f
-        if self.e_is_zero and self.f_is_zero:
-            return np.zeros(self.shape)
-        if self.e_is_zero:
-            return np.outer(f, T.T @ f) / self.f_norm_sq
-        if self.f_is_zero:
-            return np.outer(T @ e, e) / self.e_norm_sq
-        Te = T @ e
-        cross = float(f @ Te) / (self.e_norm_sq * self.f_norm_sq)
-        return (
-            np.outer(Te, e) / self.e_norm_sq
-            + np.outer(f, T.T @ f) / self.f_norm_sq
-            - cross * np.outer(f, e)
-        )
+        """Orthogonal projection of T onto ran A* = {y e^T + f x^T}, which is A^+ A."""
+        return self._pinv(*self._apply(self._check_matrix(T)))
 
     def norm(self):
         """Operator norm sqrt(|e|^2 + |f|^2)."""

@@ -190,24 +190,3 @@ def run_batch(affine_set: AffineMarginalSet, box: HyperBox, starts, cfg: SolverC
         raise ValueError("starts contain non-finite entries")
     _check_box(affine_set, box)
     return _solve(affine_set, box, starts, cfg)
-
-
-def _run_named(name, affine_set, box, T0, cfg):
-    if cfg.algorithm != name:
-        raise ValueError(f"config algorithm {cfg.algorithm!r} does not match {name!r}")
-    return run(affine_set, box, T0, cfg)
-
-
-def run_dr(affine_set, box, T0, cfg):
-    """Douglas-Rachford run (cfg.algorithm must be 'DR')."""
-    return _run_named("DR", affine_set, box, T0, cfg)
-
-
-def run_map(affine_set, box, T0, cfg):
-    """Alternating-projections run (cfg.algorithm must be 'MAP')."""
-    return _run_named("MAP", affine_set, box, T0, cfg)
-
-
-def run_dykstra(affine_set, box, T0, cfg):
-    """Dykstra run (cfg.algorithm must be 'DYK')."""
-    return _run_named("DYK", affine_set, box, T0, cfg)

@@ -78,6 +78,41 @@ def nine_pass_pinv(op, y, x):
     return term_row + term_col
 
 
+def romero_project(s, r, T):
+    """Romero's entrywise projection onto {X : X 1 = s, X^T 1 = r}:
+
+        T_ij + (s_i - rowsum_i)/n + (r_j - colsum_j)/m + (total(T) - sum(r))/(m n).
+
+    It needs sum(s) = sum(r), so inconsistent targets are first moved
+    to the nearest consistent pair s - c, r + c with c = (sum(s) - sum(r))/(m + n).
+    """
+    T = np.asarray(T, dtype=np.float64)
+    m, n = T.shape
+    c = (np.sum(s) - np.sum(r)) / (m + n)
+    s, r = np.asarray(s) - c, np.asarray(r) + c
+    total = np.sum(T)
+    return (T + (s - T.sum(axis=1))[:, None] / n + (r - T.sum(axis=0))[None, :] / m
+            + (total - np.sum(r)) / (m * n))
+
+
+def ghr_project(e, f, gamma, T):
+    """Glunt-Hayden-Reams sandwich gamma I + (I - F)(T - gamma I)(I - E) for
+    {X : X e = gamma e, X^T f = gamma f}, with E = e e^T/|e|^2, F = f f^T/|f|^2
+    (square T, nonzero e and f)."""
+    eye = np.eye(len(e))
+    ide = eye - np.outer(e, e) / (e @ e)
+    idf = eye - np.outer(f, f) / (f @ f)
+    return gamma * eye + idf @ (T - gamma * eye) @ ide
+
+
+def khoury_project(T):
+    """Khoury's J + (I - J) T (I - J), J = ones/n: the nearest square matrix
+    whose row and column sums are all 1."""
+    n = T.shape[0]
+    J = np.full((n, n), 1.0 / n)
+    return J + (np.eye(n) - J) @ T @ (np.eye(n) - J)
+
+
 def penrose_violation(M, D):
     """Largest entrywise violation of the four Penrose conditions."""
     MD = M @ D

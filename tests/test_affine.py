@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rowcolproj.affine import (
-    make_affine_set,
-    project_bistochastic,
-    project_eigenpair,
-    project_unit_sums,
-)
-from rowcolproj.linalg import frobenius_inner, frobenius_norm
+from rowcolproj.affine import make_affine_set
+from rowcolproj.linalg import frobenius_norm
 from rowcolproj.operator import ScaledMarginalOperator, unit_operator
 from rowcolproj.oracle import oracle_project
 
@@ -16,8 +13,21 @@ from _support import (
     DEMO_ROW_SUMS,
     DEMO_SOLUTION,
     OPERATOR_MODES,
+    ghr_project,
+    khoury_project,
     random_operator,
+    romero_project,
 )
+
+
+def ghr_set(e, f, gamma):
+    """The Glunt-Hayden-Reams set {X : X e = gamma e, X^T f = gamma f} as projector inputs."""
+    return make_affine_set(ScaledMarginalOperator(e, f), gamma * np.asarray(e), gamma * np.asarray(f))
+
+
+def bistochastic_set(n):
+    """Khoury's set (all row and column sums 1) as projector inputs."""
+    return make_affine_set(unit_operator(n, n), np.ones(n), np.ones(n))
 
 
 def test_consistent_targets_have_zero_residual():
@@ -130,7 +140,7 @@ def test_project_residual_is_affine_orthogonal():
         T = rng.normal(size=(3, 5)) * 5
         S1 = afs.project(rng.normal(size=(3, 5)) * 5)
         S2 = afs.project(rng.normal(size=(3, 5)) * 5)
-        inner = frobenius_inner(T - afs.project(T), S1 - S2)
+        inner = np.vdot(T - afs.project(T), S1 - S2)
         scale = (1 + frobenius_norm(T)) * (1 + frobenius_norm(S1 - S2))
         assert abs(inner) <= 1e-10 * scale
 
@@ -185,18 +195,19 @@ def test_unit_sums_matches_general_projector():
             s = rng.normal(size=4) * 10
             r = rng.normal(size=5) * 10
         T = rng.normal(size=(4, 5)) * 10
-        fast = project_unit_sums(s, r, T)
         general = make_affine_set(op, s, r).project(T)
-        assert np.max(np.abs(fast - general)) <= 1e-12
+        assert np.max(np.abs(romero_project(s, r, T) - general)) <= 1e-12
 
 
 def test_unit_sums_fixes_feasible_matrix():
-    out = project_unit_sums(DEMO_ROW_SUMS, DEMO_COL_SUMS, DEMO_SOLUTION)
+    out = make_affine_set(unit_operator(4, 5), DEMO_ROW_SUMS, DEMO_COL_SUMS).project(DEMO_SOLUTION)
     assert np.array_equal(out, DEMO_SOLUTION)
+    assert np.array_equal(romero_project(DEMO_ROW_SUMS, DEMO_COL_SUMS, DEMO_SOLUTION), DEMO_SOLUTION)
 
 
 def test_unit_sums_zero_matrix_demo_targets():
-    out = project_unit_sums(DEMO_ROW_SUMS, DEMO_COL_SUMS, np.zeros((4, 5)))
+    # the Romero reference itself, against the closed-form value
+    out = romero_project(DEMO_ROW_SUMS, DEMO_COL_SUMS, np.zeros((4, 5)))
     expected = DEMO_ROW_SUMS[:, None] / 5 + DEMO_COL_SUMS[None, :] / 4 - 131.0 / 20
     assert np.max(np.abs(out - expected)) <= 1e-12
 
@@ -205,7 +216,7 @@ def test_eigenpair_fixes_scaled_identity():
     rng = np.random.default_rng(29)
     e = rng.normal(size=5)
     f = rng.normal(size=5)
-    out = project_eigenpair(e, f, 2.5, 2.5 * np.eye(5))
+    out = ghr_set(e, f, 2.5).project(2.5 * np.eye(5))
     assert np.max(np.abs(out - 2.5 * np.eye(5))) <= 1e-12
 
 
@@ -216,8 +227,7 @@ def test_eigenpair_matches_general_projector():
         f = rng.normal(size=5)
         gamma = float(rng.normal())
         T = rng.normal(size=(5, 5)) * 4
-        afs = make_affine_set(ScaledMarginalOperator(e, f), gamma * e, gamma * f)
-        assert np.max(np.abs(project_eigenpair(e, f, gamma, T) - afs.project(T))) <= 1e-12
+        assert np.max(np.abs(ghr_project(e, f, gamma, T) - ghr_set(e, f, gamma).project(T))) <= 1e-12
 
 
 def test_eigenpair_reduces_to_bistochastic():
@@ -225,36 +235,41 @@ def test_eigenpair_reduces_to_bistochastic():
     e = np.ones(4)
     for _ in range(20):
         T = rng.normal(size=(4, 4)) * 3
-        assert np.max(np.abs(project_eigenpair(e, e, 1.0, T) - project_bistochastic(T))) <= 1e-12
+        assert np.max(np.abs(ghr_set(e, e, 1.0).project(T) - khoury_project(T))) <= 1e-12
 
 
 def test_eigenpair_rejects_bad_inputs():
+    # zero weights are the formula's degenerate cases, not errors: with
+    # f = 0 only X e = gamma e is left, and the KKT oracle agrees
+    T = np.arange(4.0).reshape(2, 2)
+    for e, f in (([1.0, 0.0], [0.0, 0.0]), ([0.0, 0.0], [1.0, 2.0]), ([0.0, 0.0], [0.0, 0.0])):
+        afs = ghr_set(e, f, 3.0)
+        oracle = oracle_project(afs.op, 3.0 * np.asarray(e), 3.0 * np.asarray(f), T)
+        assert np.max(np.abs(afs.project(T) - oracle)) <= 1e-12
     with pytest.raises(ValueError):
-        project_eigenpair([1.0, 0.0], [1.0, 1.0], 1.0, np.ones((2, 3)))
+        ghr_set([1.0, 0.0], [1.0, 1.0], 1.0).project(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        project_eigenpair([0.0, 0.0], [1.0, 1.0], 1.0, np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        project_eigenpair([1.0, 1.0], [0.0, 0.0], 1.0, np.ones((2, 2)))
+        ghr_set([1.0, 1.0], [1.0, 1.0], float("nan"))
 
 
 def test_bistochastic_fixes_permutations():
     P = np.eye(4)[[2, 0, 3, 1]]
-    assert np.max(np.abs(project_bistochastic(P) - P)) <= 1e-15
+    assert np.max(np.abs(bistochastic_set(4).project(P) - P)) <= 1e-15
 
 
 def test_bistochastic_two_by_two():
     # KKT solution of min ||X - T||^2 with all row/column sums 1:
     # with T = [[1,0],[0,0]] the unique minimizer is [[.75,.25],[.25,.75]]
-    out = project_bistochastic(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    out = bistochastic_set(2).project(np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert np.max(np.abs(out - np.array([[0.75, 0.25], [0.25, 0.75]]))) <= 1e-15
 
 
 def test_bistochastic_matches_kkt_oracle():
-    rng = np.random.default_rng(32)
     op = unit_operator(2, 2)
     T = np.array([[1.0, 0.0], [0.0, 0.0]])
     ones = np.ones(2)
-    assert np.max(np.abs(project_bistochastic(T) - oracle_project(op, ones, ones, T))) <= 1e-12
+    assert np.max(np.abs(bistochastic_set(2).project(T) - oracle_project(op, ones, ones, T))) <= 1e-12
+    assert np.max(np.abs(khoury_project(T) - oracle_project(op, ones, ones, T))) <= 1e-12
 
 
 def test_bistochastic_matches_unit_sums():
@@ -262,11 +277,35 @@ def test_bistochastic_matches_unit_sums():
     ones = np.ones(6)
     for _ in range(30):
         T = rng.normal(size=(6, 6)) * 5
-        lhs = project_bistochastic(T)
-        rhs = project_unit_sums(ones, ones, T)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+        lhs = khoury_project(T)
+        assert np.max(np.abs(lhs - bistochastic_set(6).project(T))) <= 1e-12
+        assert np.max(np.abs(lhs - romero_project(ones, ones, T))) <= 1e-12
 
 
-def test_bistochastic_rejects_non_square():
-    with pytest.raises(ValueError):
-        project_bistochastic(np.ones((2, 3)))
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.one_of(st.tuples(st.just(1), st.integers(1, 6)),
+                    st.tuples(st.integers(1, 6), st.just(1)),
+                    st.tuples(st.integers(2, 6), st.integers(2, 6))),
+    mode=st.sampled_from(OPERATOR_MODES),
+    consistent=st.booleans(),
+    exponent=st.floats(-3.0, 9.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_project_properties_over_shapes_modes_and_magnitudes(shape, mode, consistent, exponent, seed):
+    rng = np.random.default_rng(seed)
+    magnitude = 10.0 ** exponent
+    m, n = shape
+    op = random_operator(rng, m, n, mode)
+    if consistent:
+        s, r = op.apply(rng.normal(size=shape) * magnitude)
+    else:
+        s, r = rng.normal(size=m) * magnitude, rng.normal(size=n) * magnitude
+    afs = make_affine_set(op, s, r)
+    T1, T2 = rng.normal(size=shape) * magnitude, rng.normal(size=shape) * magnitude
+    P1, P2 = afs.project(T1), afs.project(T2)
+    # every bound is relative to the size of what went in and came out
+    scale = max(frobenius_norm(T1), frobenius_norm(P1))
+    assert frobenius_norm(afs.project(P1) - P1) <= 1e-12 * scale
+    assert frobenius_norm(P1 - P2) <= frobenius_norm(T1 - T2) + 1e-12 * (scale + frobenius_norm(P2))
+    assert frobenius_norm(P1 - oracle_project(op, s, r, T1)) <= 1e-11 * scale

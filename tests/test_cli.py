@@ -5,10 +5,19 @@ import sys
 import numpy as np
 import pytest
 
-from rowcolproj.affine import project_bistochastic, project_unit_sums
+from rowcolproj.affine import make_affine_set
 from rowcolproj.cli import format_matrix, main, read_matrix
+from rowcolproj.operator import ScaledMarginalOperator, unit_operator
+from rowcolproj.oracle import oracle_project
 
-from _support import DEMO_COL_SUMS, DEMO_ROW_SUMS, DEMO_SOLUTION
+from _support import (
+    DEMO_COL_SUMS,
+    DEMO_ROW_SUMS,
+    DEMO_SOLUTION,
+    ghr_project,
+    khoury_project,
+    romero_project,
+)
 
 
 def write_matrix_file(path, T):
@@ -46,8 +55,9 @@ def test_project_unit_sums_cli(tmp_path, capsys):
                "--row-sums", "32,43,33,23", "--col-sums", "24,18,37,27,25"])
     assert rc == 0
     out = parse_matrix_text(capsys.readouterr().out)
-    expected = project_unit_sums(DEMO_ROW_SUMS, DEMO_COL_SUMS, np.zeros((4, 5)))
+    expected = make_affine_set(unit_operator(4, 5), DEMO_ROW_SUMS, DEMO_COL_SUMS).project(np.zeros((4, 5)))
     assert np.max(np.abs(out - expected)) <= 1e-15
+    assert np.max(np.abs(out - romero_project(DEMO_ROW_SUMS, DEMO_COL_SUMS, np.zeros((4, 5))))) <= 1e-12
     assert out[0, 0] == pytest.approx(5.85, abs=1e-14)
 
 
@@ -67,6 +77,10 @@ def test_project_general_spec_with_weights(tmp_path, capsys):
     assert rc == 0
     out = parse_matrix_text(capsys.readouterr().out)
     assert out.shape == (2, 2)
+    rc = main(["project", path, "--spec", "general", "--row-sums", "1,1", "--col-sums", "1,1",
+               "--row-weights", "1,2,3"])
+    assert rc == 2
+    assert capsys.readouterr().err.endswith("the weights imply shape 3x2 but the matrix is 2x2\n")
 
 
 def test_project_bistochastic_cli(tmp_path, capsys):
@@ -75,7 +89,7 @@ def test_project_bistochastic_cli(tmp_path, capsys):
     rc = main(["project", path, "--spec", "bistochastic"])
     assert rc == 0
     out = parse_matrix_text(capsys.readouterr().out)
-    assert np.max(np.abs(out - project_bistochastic(T))) <= 1e-15
+    assert np.max(np.abs(out - khoury_project(T))) <= 1e-15
 
 
 def test_project_ghr_cli(tmp_path, capsys):
@@ -84,6 +98,39 @@ def test_project_ghr_cli(tmp_path, capsys):
     assert rc == 0
     out = parse_matrix_text(capsys.readouterr().out)
     assert np.max(np.abs(out - 2.0 * np.eye(3))) <= 1e-12
+    T = np.arange(9.0).reshape(3, 3)
+    path = write_matrix_file(tmp_path / "t.txt", T)
+    rc = main(["project", path, "--spec", "ghr", "--gamma", "-0.5",
+               "--row-weights", "1,2,-1", "--col-weights", "0.5,3,1"])
+    assert rc == 0
+    out = parse_matrix_text(capsys.readouterr().out)
+    e, f = np.array([0.5, 3.0, 1.0]), np.array([1.0, 2.0, -1.0])
+    assert np.max(np.abs(out - ghr_project(e, f, -0.5, T))) <= 1e-12
+
+
+@pytest.mark.parametrize("row_weights, col_weights", [("0,0,0", "1,2,3"), ("1,0,2", "0,0,0"),
+                                                      ("0,0,0", "0,0,0")])
+def test_project_ghr_zero_weights_match_oracle(row_weights, col_weights, tmp_path, capsys):
+    # zero weights are the formula's degenerate cases: only the other constraint is left
+    T = np.arange(9.0).reshape(3, 3) - 4.0
+    path = write_matrix_file(tmp_path / "t.txt", T)
+    rc = main(["project", path, "--spec", "ghr", "--gamma", "1.5",
+               "--row-weights", row_weights, "--col-weights", col_weights])
+    assert rc == 0
+    out = parse_matrix_text(capsys.readouterr().out)
+    e = np.array([float(v) for v in col_weights.split(",")])
+    f = np.array([float(v) for v in row_weights.split(",")])
+    expected = oracle_project(ScaledMarginalOperator(e, f), 1.5 * e, 1.5 * f, T)
+    assert np.max(np.abs(out - expected)) <= 1e-12
+
+
+def test_bistochastic_rejects_non_square(tmp_path, capsys):
+    path = write_matrix_file(tmp_path / "t.txt", np.ones((2, 3)))
+    for spec in ("bistochastic", "ghr"):
+        assert main(["project", path, "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rowcolproj project: error: --spec {spec} needs a square matrix, got 2x3\n"
 
 
 def test_project_output_file(tmp_path):
@@ -200,3 +247,31 @@ def test_solve_prints_the_distance_of_experiment_run_zero(alg, tmp_path, capsys)
     capsys.readouterr()
     assert main(["solve", "--alg", alg, "--seed", "4"]) == 0
     assert f"distance to start (spectral): {distance}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("experiment", {"s": [1, 1], "r": [1, 1], "foo": 1}, "unknown config key(s) 'foo'"),
+    ("experiment", [1, 1], "must be a JSON object"),
+    ("experiment", {"r": [1, 1]}, "the config has no s"),
+    ("experiment", {"s": [1, 1], "r": [1, 1], "max_iterations": 2.5}, "max_iterations must be an integer"),
+    ("experiment", {"s": [1, 1], "r": [1, 1], "num_runs": "3"}, "num_runs must be an integer"),
+    ("experiment", {"s": [1, 1], "r": [1, 1], "distance_tie_tol": -1},
+     "distance_tie_tol must be a finite nonnegative number"),
+    ("experiment", {"s": {"a": 1}, "r": [1, 1]}, "s must hold numbers"),
+    ("project", {"r": [1, 1]}, "the config has no s"),
+    ("solve", {"r": [1, 1]}, "the config has no s"),
+], ids=["unknown-key", "json-list", "missing-s", "fractional-iterations", "string-runs",
+        "negative-tie-tol", "non-numeric-s", "project-missing-s", "solve-missing-s"])
+def test_bad_config_ends_with_one_line_error(command, config, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path)]
+    if command == "experiment":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    if command == "project":
+        argv.insert(1, write_matrix_file(tmp_path / "t.txt", np.zeros((2, 2))))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"rowcolproj {command}: error: ")
+    assert message in captured.err and captured.err.count("\n") == 1

@@ -43,6 +43,12 @@ def test_spec_validation():
         small_spec(seed=-3)
     with pytest.raises(ValueError):
         small_spec(max_iterations=0)
+    for field, value in (("max_iterations", 2.5), ("num_runs", "3"), ("seed", 1.0),
+                         ("feasibility_tol", float("nan")), ("distance_tie_tol", -1e-15),
+                         ("init_low", "-1"), ("init_high", float("inf"))):
+        with pytest.raises(ValueError, match=field):
+            small_spec(**{field: value})
+    assert small_spec(num_runs=np.int64(7)).num_runs == 7
 
 
 def test_spec_from_config_overrides():
@@ -51,6 +57,12 @@ def test_spec_from_config_overrides():
     assert spec.seed == 9
     assert spec.num_runs == 5
     assert spec.m == 2 and spec.n == 2
+    with pytest.raises(ValueError, match="'foo'"):
+        ExperimentSpec.from_config({**cfg, "foo": 1})
+    with pytest.raises(ValueError, match="has no r"):
+        ExperimentSpec.from_config({"s": [1.0]})
+    with pytest.raises(ValueError, match="JSON object"):
+        ExperimentSpec.from_config([cfg])
 
 
 def test_draw_start_is_reproducible_and_streamed_per_run():

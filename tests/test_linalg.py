@@ -8,72 +8,11 @@ from hypothesis import strategies as st
 from rowcolproj.linalg import (
     as_matrix,
     as_vector,
-    frobenius_inner,
     frobenius_norm,
-    outer,
     spectral_norm,
 )
 
-from _support import DEMO_SOLUTION, top_singular_two_columns
-
-
-def test_frobenius_inner_identity_with_itself():
-    assert frobenius_inner(np.eye(2), np.eye(2)) == 2.0
-
-
-def test_frobenius_inner_zero_matrix():
-    T = np.arange(6.0).reshape(2, 3)
-    assert frobenius_inner(T, np.zeros((2, 3))) == 0.0
-
-
-def test_frobenius_inner_demo_total():
-    assert frobenius_inner(DEMO_SOLUTION, np.ones((4, 5))) == 131.0
-
-
-def test_frobenius_inner_symmetric():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        A = rng.normal(size=(3, 4))
-        B = rng.normal(size=(3, 4))
-        assert frobenius_inner(A, B) == pytest.approx(frobenius_inner(B, A), abs=1e-14)
-
-
-def test_frobenius_inner_shape_mismatch():
-    with pytest.raises(ValueError):
-        frobenius_inner(np.ones((2, 2)), np.ones((2, 3)))
-
-
-def test_frobenius_inner_positive_definite():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        T = rng.normal(size=(2, 5))
-        assert frobenius_inner(T, T) > 0.0
-    assert frobenius_inner(np.zeros((3, 3)), np.zeros((3, 3))) == 0.0
-
-
-def test_outer_basis_vectors():
-    assert np.array_equal(outer([1.0, 0.0], [0.0, 1.0]), [[0.0, 1.0], [0.0, 0.0]])
-
-
-def test_outer_zero_vector():
-    assert np.array_equal(outer([0.0, 0.0], [1.0, 2.0, 3.0]), np.zeros((2, 3)))
-
-
-def test_outer_entrywise():
-    assert np.array_equal(outer([2.0, 3.0], [1.0, 4.0]), [[2.0, 8.0], [3.0, 12.0]])
-
-
-def test_outer_adjoint_identity():
-    # <outer(v,u) x, y> = <x,u> <v,y> for all conformable x, y
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        v = rng.normal(size=3)
-        u = rng.normal(size=4)
-        x = rng.normal(size=4)
-        y = rng.normal(size=3)
-        lhs = float((outer(v, u) @ x) @ y)
-        rhs = float(x @ u) * float(v @ y)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+from _support import top_singular_two_columns
 
 
 def test_spectral_norm_diagonal():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rowcolproj.linalg import frobenius_inner, frobenius_norm
+from rowcolproj.linalg import frobenius_norm
 from rowcolproj.operator import MarginalPair, ScaledMarginalOperator, unit_operator
 from rowcolproj.oracle import build_explicit
 
@@ -86,7 +86,7 @@ def test_adjoint_identity_random():
             x = rng.normal(size=4)
             pair = op.apply(T)
             lhs = float(pair.row_part @ y) + float(pair.col_part @ x)
-            rhs = frobenius_inner(T, op.adjoint_apply(MarginalPair(y, x)))
+            rhs = np.vdot(T, op.adjoint_apply(MarginalPair(y, x)))
             assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(lhs)))
 
 
@@ -202,14 +202,17 @@ def test_project_range_adjoint_fixes_range_form():
 
 
 def test_project_range_adjoint_is_pinv_after_apply():
+    # A^+ A against the row-space projector of the explicit matrix, from LAPACK's SVD
     rng = np.random.default_rng(16)
     for mode in OPERATOR_MODES:
         op = random_operator(rng, 4, 5, mode)
+        M = build_explicit(op)
+        projector = np.linalg.pinv(M) @ M
         for _ in range(5):
             T = rng.normal(size=(4, 5))
-            composed = op.pinv_apply(op.apply(T))
             direct = op.project_range_adjoint(T)
-            assert np.max(np.abs(composed - direct)) <= 1e-12
+            assert np.array_equal(direct, op.pinv_apply(op.apply(T)))
+            assert np.max(np.abs(direct.reshape(-1) - projector @ T.reshape(-1))) <= 1e-12
 
 
 def test_norm_zero_operator():

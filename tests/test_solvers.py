@@ -7,7 +7,7 @@ from rowcolproj.affine import make_affine_set
 from rowcolproj.box import HyperBox, make_box
 from rowcolproj.linalg import frobenius_norm
 from rowcolproj.operator import ScaledMarginalOperator, unit_operator
-from rowcolproj.solvers import SolverConfig, run, run_batch, run_dr, run_dykstra, run_map
+from rowcolproj.solvers import SolverConfig, run, run_batch
 
 from _support import (
     DEMO_COL_SUMS,
@@ -36,17 +36,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(algorithm="DR", feasibility_tol=-1.0)
     assert SolverConfig(algorithm="dyk").algorithm == "DYK"
-
-
-def test_runner_rejects_mismatched_config():
-    affine_set, box = demo_problem()
-    T0 = np.zeros((4, 5))
-    with pytest.raises(ValueError):
-        run_dr(affine_set, box, T0, SolverConfig(algorithm="MAP"))
-    with pytest.raises(ValueError):
-        run_map(affine_set, box, T0, SolverConfig(algorithm="DR"))
-    with pytest.raises(ValueError):
-        run_dykstra(affine_set, box, T0, SolverConfig(algorithm="DR"))
 
 
 def test_shape_mismatch_rejected():
