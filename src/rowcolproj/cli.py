@@ -23,25 +23,22 @@ DEFAULT_CONFIG = "demo_4x5.json"
 
 
 def read_matrix(path):
-    """Read a matrix file ("m n" header, then m rows)."""
+    """Read a matrix file ("m n" header, then m rows); a bad file raises ValueError."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise SystemExit(f"cannot read matrix file {path}: {exc}")
+        raise ValueError(f"cannot read matrix file {path}: {exc}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise SystemExit(f"matrix file {path} is empty")
+        raise ValueError(f"matrix file {path} is empty")
     try:
         m, n = (int(tok) for tok in lines[0].split())
         rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
     except ValueError as exc:
-        raise SystemExit(f"matrix file {path} is malformed: {exc}")
+        raise ValueError(f"matrix file {path} is malformed: {exc}") from None
     if len(rows) != m or any(len(row) != n for row in rows):
-        raise SystemExit(f"matrix file {path} does not contain {m}x{n} entries")
-    try:
-        return as_matrix(rows, name=f"matrix from {path}")
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+        raise ValueError(f"matrix file {path} does not contain {m}x{n} entries")
+    return as_matrix(rows, name=f"matrix from {path}")
 
 
 def format_matrix(T):
@@ -61,9 +58,10 @@ def write_matrix(T, path=None):
 
 def _parse_vector(text, name):
     try:
-        return as_vector([float(tok) for tok in text.replace(",", " ").split()], name=name)
+        values = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        raise ValueError(f"{name}: {exc}") from None
+    return as_vector(values, name=name)
 
 
 def load_config(path=None):
@@ -74,19 +72,18 @@ def load_config(path=None):
     try:
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"cannot load config {path}: {exc}")
+        raise ValueError(f"cannot load config {path}: {exc}") from None
 
 
-def _targets_from_args(args, shape):
-    """Targets (s, r): the flags, else the config, validated as an experiment config."""
-    spec = ExperimentSpec.from_config(
+def _spec_from_args(args, **overrides):
+    """The --config spec (default: the bundled instance) with the targets of
+    --row-sums/--col-sums and ``overrides`` applied, validated as an experiment spec."""
+    return ExperimentSpec.from_config(
         load_config(args.config),
         s=_parse_vector(args.row_sums, "row sums") if args.row_sums else None,
         r=_parse_vector(args.col_sums, "column sums") if args.col_sums else None,
+        **overrides,
     )
-    if shape is not None and (spec.m, spec.n) != shape:
-        raise SystemExit(f"targets imply shape {(spec.m, spec.n)} but the matrix is {shape[0]}x{shape[1]}")
-    return spec.s, spec.r
 
 
 def cmd_project(args):
@@ -111,7 +108,10 @@ def cmd_project(args):
     elif args.spec == "ghr":
         s, r = args.gamma * e, args.gamma * f
     else:
-        s, r = _targets_from_args(args, (m, n))
+        spec = _spec_from_args(args)
+        if (spec.m, spec.n) != (m, n):
+            raise ValueError(f"the targets imply shape {spec.m}x{spec.n} but the matrix is {m}x{n}")
+        s, r = spec.s, spec.r
     op = ScaledMarginalOperator(e, f)
     if op.shape != T.shape:
         raise ValueError(f"the weights imply shape {op.m}x{op.n} but the matrix is {m}x{n}")
@@ -120,14 +120,15 @@ def cmd_project(args):
 
 
 def cmd_solve(args):
-    s, r = _targets_from_args(args, None)
-    affine_set, box = _build_problem(s, r, args.case)
+    """One run from --input, or from the start that run 0 of the same experiment draws."""
+    spec = _spec_from_args(args, case=args.case, seed=args.seed, num_runs=1)
+    affine_set, box = _build_problem(spec.s, spec.r, spec.case)
     if args.input:
         T0 = read_matrix(args.input)
         if T0.shape != affine_set.shape:
-            raise SystemExit(f"start matrix is {T0.shape}, targets imply {affine_set.shape}")
+            raise ValueError(f"the start matrix is {T0.shape[0]}x{T0.shape[1]} "
+                             f"but the targets imply {spec.m}x{spec.n}")
     else:
-        spec = ExperimentSpec(s=s, r=r, case=args.case, num_runs=1, seed=args.seed)
         T0 = draw_start(spec, 0)
     cfg = SolverConfig(algorithm=args.alg.upper(), max_iterations=args.iters,
                        feasibility_tol=args.tol)

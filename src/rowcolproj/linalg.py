@@ -3,10 +3,20 @@
 Everything here operates on plain float64 numpy arrays: matrices are
 2-d ``(m, n)`` arrays, vectors are 1-d arrays. Inputs crossing a public
 boundary are validated once with :func:`as_matrix` / :func:`as_vector`
-and treated as immutable afterwards.
+(and counts with :func:`as_integer`) and treated as immutable afterwards.
 """
 
+import operator
+
 import numpy as np
+
+
+def as_integer(value, name="value"):
+    """``value`` as an int; a float such as 2.5 or a string is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_vector(v, dim=None, name="vector"):

@@ -21,6 +21,18 @@ rounding box projection, and feasibility additionally requires exact
 integer entries whose row/column sums match the projected targets in
 integer arithmetic; this separates float noise from true feasibility.
 
+Integer runs also stop at their first repeated state (T_k, and R_k for
+Dykstra). Each start's state is saved at k = 1, 2, 4, 8, ... and
+compared bit for bit with every later state; the rounding box makes
+exact repeats common (integer MAP settles on a fixed point, DR enters
+short cycles). The update is a fixed function of the state, so a state
+at iteration k equal to the one saved at iteration j repeats with period
+p = k - j for ever, and none of delta_j, ..., delta_{k-1} passed: the
+run can never converge. The engine marks it not converged and fills its
+deltas (and, when recorded, its iterates and Dykstra box candidates) up
+to max_iterations with the periodic continuation, so every trace is bit
+for bit the one a full-length run gives.
+
 One engine runs every start of a batch as a (B, m, n) stack: each step
 is elementwise or acts on each matrix of the stack alone, so a start's
 delta_k sequence and first feasible point are bit for bit the same
@@ -36,7 +48,7 @@ import numpy as np
 
 from .affine import AffineMarginalSet
 from .box import HyperBox
-from .linalg import as_matrix, frobenius_norm
+from .linalg import as_integer, as_matrix, frobenius_norm
 
 # The one solver implementation; recorded in experiment summaries.
 BACKEND = "numpy"
@@ -59,8 +71,10 @@ class SolverConfig:
         if alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected DR, MAP or DYK")
         object.__setattr__(self, "algorithm", alg)
-        if self.max_iterations < 1:
+        iterations = as_integer(self.max_iterations, name="max_iterations")
+        if iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        object.__setattr__(self, "max_iterations", iterations)
         if not np.isfinite(self.feasibility_tol) or self.feasibility_tol < 0:
             raise ValueError("feasibility_tol must be finite and nonnegative")
 
@@ -99,6 +113,15 @@ def _exact_integer_sums(P, s_goal, r_goal):
     return integral & rows & cols
 
 
+def _repeated(state, saved):
+    """Per matrix of the stack: every state array equals its saved copy bit for bit
+    (compared as int64, so -0.0 and +0.0 differ)."""
+    same = True
+    for now, then in zip(state, saved):
+        same = same & (now.view(np.int64) == then.view(np.int64)).all(axis=(1, 2))
+    return same
+
+
 def _solve(affine_set, box, T, cfg):
     """Run cfg.algorithm from every start of the (B, m, n) stack T; one trace each."""
     alg, last = cfg.algorithm, cfg.max_iterations
@@ -108,10 +131,31 @@ def _solve(affine_set, box, T, cfg):
     found = [None] * size
     active = np.arange(size)            # start index of each matrix in the stack
     R = np.zeros_like(T)
+    width = 2 if alg == "DYK" else 1    # the state is T, or (T, R) for Dykstra
+    saved, saved_at = (), 0             # each active start's state at iteration saved_at
     s_goal, r_goal, targets_integral = _integer_goals(affine_set)
     iterates = [[] for _ in range(size)] if cfg.record_trace else None
     candidates = [[] for _ in range(size)] if cfg.record_trace and alg == "DYK" else None
     for k in range(last + 1):
+        if box.integer_restricted and k > 0:
+            cycled = _repeated((T, R)[:width], saved) if saved else np.zeros(len(active), dtype=bool)
+            if cycled.any():
+                # state k equals state saved_at, so iteration t >= k repeats source[t - k]
+                p = k - saved_at
+                source = saved_at + (np.arange(k, last + 1) - saved_at) % p
+                rows = active[cycled]
+                deltas[rows, k:] = deltas[rows][:, source]
+                for seq, end in ((iterates, last + 1), (candidates, last)):
+                    if seq is not None:
+                        for j in rows:
+                            seq[j] += [seq[j][t].copy() for t in source[:end - k]]
+                if cycled.all():
+                    break
+                keep = ~cycled
+                active, T, R = active[keep], T[keep], R[keep]
+                saved = tuple(S[keep] for S in saved)
+            if k & (k - 1) == 0:
+                saved, saved_at = tuple(S.copy() for S in (T, R)[:width]), k
         if iterates is not None:
             for j, Tj in zip(active, T):
                 iterates[j].append(Tj.copy())
@@ -130,6 +174,7 @@ def _solve(affine_set, box, T, cfg):
                 break
             keep = ~feasible
             active, T, R, PA, PB = active[keep], T[keep], R[keep], PA[keep], PB[keep]
+            saved = tuple(S[keep] for S in saved)
         if k == last:
             break
         if alg == "DR":

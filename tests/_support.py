@@ -3,6 +3,7 @@
 import numpy as np
 
 from rowcolproj.operator import MarginalPair, ScaledMarginalOperator
+from rowcolproj.solvers import SolverTrace
 
 # A known nonnegative integer matrix with row sums (32, 43, 33, 23) and
 # column sums (24, 18, 37, 27, 25); total 131.
@@ -143,16 +144,18 @@ def nearest_integer_in_interval(x, lo, hi):
 def reference_run(affine_set, box, T0, cfg):
     """One start at a time through the public projectors: the per-start
     solver loop that the stacked engine replaced, kept as its reference.
-
-    Returns (deltas, first feasible iteration or None, matrix or None).
+    It runs to its first feasible iterate or to max_iterations, whatever
+    states repeat, and always records the iterates (and, for Dykstra,
+    the box candidates).
     """
     s_bar, r_bar = affine_set.projected_target
     s_goal, r_goal = np.round(s_bar), np.round(r_bar)
     targets_integral = np.all(s_bar == s_goal) and np.all(r_bar == r_goal)
     T = np.array(T0, dtype=np.float64)
     R = np.zeros_like(T)
-    deltas = []
+    deltas, iterates, candidates, found = [], [], [], None
     for k in range(cfg.max_iterations + 1):
+        iterates.append(T.copy())
         PA = box.project(T)
         PB = affine_set.project(PA)
         delta = float(np.sqrt(np.sum(np.square(PA - PB))))
@@ -162,7 +165,8 @@ def reference_run(affine_set, box, T0, cfg):
             feasible = (targets_integral and not np.any(np.floor(PA) != PA)
                         and np.all(PA.sum(axis=1) == s_goal) and np.all(PA.sum(axis=0) == r_goal))
         if feasible:
-            return np.asarray(deltas), k, PA
+            found = k
+            break
         if k == cfg.max_iterations:
             break
         if cfg.algorithm == "DR":
@@ -171,9 +175,30 @@ def reference_run(affine_set, box, T0, cfg):
             T = PB
         else:
             AK = box.project(T + R)
+            candidates.append(AK)
             R = T + R - AK
             T = affine_set.project(AK)
-    return np.asarray(deltas), None, None
+    return SolverTrace(algorithm=cfg.algorithm, deltas=np.asarray(deltas),
+                       first_feasible_iteration=found,
+                       first_feasible_matrix=None if found is None else PA,
+                       converged=found is not None, iterates=iterates,
+                       box_candidates=candidates if cfg.algorithm == "DYK" else None)
+
+
+def assert_same_trace(trace, reference):
+    """``trace`` equals ``reference`` bit for bit: deltas, first feasible
+    iteration and matrix, and the iterates and Dykstra box candidates
+    whenever ``trace`` recorded them."""
+    assert same_bits(trace.deltas, reference.deltas)
+    assert trace.first_feasible_iteration == reference.first_feasible_iteration
+    assert trace.converged == reference.converged
+    assert same_bits(trace.first_feasible_matrix, reference.first_feasible_matrix)
+    if trace.iterates is not None:
+        assert len(trace.iterates) == len(reference.iterates)
+        assert same_bits(np.array(trace.iterates), np.array(reference.iterates))
+    if trace.box_candidates is not None:
+        assert len(trace.box_candidates) == len(reference.box_candidates)
+        assert same_bits(np.array(trace.box_candidates), np.array(reference.box_candidates))
 
 
 def same_bits(a, b):

@@ -38,14 +38,14 @@ def test_matrix_file_round_trip(tmp_path):
 
 
 def test_read_matrix_errors(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="cannot read matrix file"):
         read_matrix(tmp_path / "missing.txt")
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n1 2\n3\n")
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="does not contain 2x2 entries"):
         read_matrix(bad)
     bad.write_text("2 2\n1 2\n3 nan\n")
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="non-finite"):
         read_matrix(bad)
 
 
@@ -142,10 +142,11 @@ def test_project_output_file(tmp_path):
     assert parse_matrix_text(out_path.read_text()).shape == (4, 5)
 
 
-def test_project_shape_target_mismatch(tmp_path):
+def test_project_shape_target_mismatch(tmp_path, capsys):
     path = write_matrix_file(tmp_path / "t.txt", np.zeros((2, 2)))
-    with pytest.raises(SystemExit):
-        main(["project", path, "--row-sums", "1,2,3", "--col-sums", "1,2"])
+    assert main(["project", path, "--row-sums", "1,2,3", "--col-sums", "1,2"]) == 2
+    assert capsys.readouterr().err == ("rowcolproj project: error: "
+                                       "the targets imply shape 3x2 but the matrix is 2x2\n")
 
 
 def test_solve_feasible_start_reports_iteration_zero(tmp_path, capsys):
@@ -214,6 +215,7 @@ def test_console_entry_point_help():
     (["solve", "--row-sums", "1e17,1e17", "--col-sums", "1e17,1e17", "--case", "integer"], "2^53"),
     (["solve", "--iters", "0"], "max_iterations"),
     (["experiment", "--iters", "0"], "max_iterations"),
+    (["solve", "--row-sums", "1,x", "--col-sums", "1"], "row sums: could not convert string"),
 ])
 def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys):
     rc = main(argv + (["--out-dir", str(tmp_path)] if argv[0] == "experiment" else []))
@@ -275,3 +277,43 @@ def test_bad_config_ends_with_one_line_error(command, config, message, tmp_path,
     assert captured.out == ""
     assert captured.err.startswith(f"rowcolproj {command}: error: ")
     assert message in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--input", "{bad}"], "matrix file {bad} is malformed"),
+    (["project", "{bad}"], "matrix file {bad} is malformed"),
+    (["solve", "--input", "{short}"], "matrix file {short} does not contain 2x2 entries"),
+    (["solve", "--input", "{start}"], "the start matrix is 2x2 but the targets imply 4x5"),
+    (["solve", "--config", "{missing}"], "cannot load config {missing}"),
+    (["experiment", "--config", "{missing}", "--out-dir", "{out}"], "cannot load config {missing}"),
+    (["solve", "--config", "{bad}"], "cannot load config {bad}"),
+], ids=["solve-malformed-matrix", "project-malformed-matrix", "short-matrix", "start-shape",
+        "solve-missing-config", "experiment-missing-config", "config-not-json"])
+def test_bad_files_end_with_one_line_error(argv, message, tmp_path, capsys):
+    paths = {"bad": tmp_path / "bad.txt", "short": tmp_path / "short.txt",
+             "start": tmp_path / "start.txt", "missing": tmp_path / "missing.json",
+             "out": tmp_path / "out"}
+    paths["bad"].write_text("2 x\n1 2\n3 4\n")
+    paths["short"].write_text("2 2\n1 2\n3\n")
+    write_matrix_file(paths["start"], np.ones((2, 2)))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"rowcolproj {argv[0]}: error: {message.format(**paths)}")
+    assert captured.err.count("\n") == 1
+
+
+def test_solve_draws_its_start_from_the_config_init_interval(tmp_path, capsys):
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps({"s": DEMO_ROW_SUMS.tolist(), "r": DEMO_COL_SUMS.tolist(),
+                                  "init_low": 0, "init_high": 10}))
+    assert main(["experiment", "--config", str(config), "--runs", "1", "--seed", "4",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    header, row0 = (tmp_path / "out" / "runs.csv").read_text().splitlines()[:2]
+    run0 = dict(zip(header.split(","), row0.split(",")))
+    assert (run0["dr_iterations"], run0["dr_distance"]) == ("1", "11.671833060332743")
+    capsys.readouterr()
+    assert main(["solve", "--config", str(config), "--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "feasible at iteration 1\n" in out
+    assert "distance to start (spectral): 11.671833060332743\n" in out

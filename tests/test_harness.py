@@ -227,9 +227,10 @@ def test_runs_do_not_depend_on_jobs_or_batch(m, n, case, num_runs, block_runs, s
                 assert res.distance == other.distance
                 assert same_bits(res.solution, other.solution)
             cfg = SolverConfig(algorithm=key, max_iterations=30)
-            deltas, iteration, matrix = reference_run(affine_set, box, T0, cfg)
-            assert same_bits(res.deltas, deltas)
-            assert res.iterations == iteration
+            reference = reference_run(affine_set, box, T0, cfg)
+            matrix = reference.first_feasible_matrix
+            assert same_bits(res.deltas, reference.deltas)
+            assert res.iterations == reference.first_feasible_iteration
             if matrix is not None:
                 assert res.distance == np.linalg.norm(T0 - matrix, 2)
             if case == "integer":

@@ -14,9 +14,9 @@ from _support import (
     DEMO_ROW_SUMS,
     DEMO_SOLUTION,
     OPERATOR_MODES,
+    assert_same_trace,
     random_operator,
     reference_run,
-    same_bits,
 )
 
 ALGS = ("DR", "MAP", "DYK")
@@ -36,6 +36,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(algorithm="DR", feasibility_tol=-1.0)
     assert SolverConfig(algorithm="dyk").algorithm == "DYK"
+
+
+@pytest.mark.parametrize("value", [2.5, "3", 3.0])
+def test_max_iterations_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        SolverConfig(algorithm="DR", max_iterations=value)
+    cfg = SolverConfig(algorithm="DR", max_iterations=np.int64(3))
+    assert type(cfg.max_iterations) is int and cfg.max_iterations == 3
 
 
 def test_shape_mismatch_rejected():
@@ -242,19 +250,9 @@ def test_batch_runs_match_reference_and_single_runs_bit_for_bit(
         batch = run_batch(affine_set, box, starts, cfg)
         assert len(batch) == size
         for T0, trace in zip(starts, batch):
-            deltas, iteration, matrix = reference_run(affine_set, box, T0, cfg)
-            assert same_bits(trace.deltas, deltas)
-            assert trace.first_feasible_iteration == iteration
-            assert trace.converged == (iteration is not None)
-            assert same_bits(trace.first_feasible_matrix, matrix)
-            alone = run(affine_set, box, T0, cfg)
-            assert same_bits(trace.deltas, alone.deltas)
-            assert trace.first_feasible_iteration == alone.first_feasible_iteration
-            assert same_bits(trace.first_feasible_matrix, alone.first_feasible_matrix)
-            assert same_bits(np.array(trace.iterates), np.array(alone.iterates))
-            assert len(trace.iterates) == len(deltas)
-            if alg == "DYK":
-                assert same_bits(np.array(trace.box_candidates), np.array(alone.box_candidates))
+            reference = reference_run(affine_set, box, T0, cfg)
+            assert_same_trace(trace, reference)
+            assert_same_trace(run(affine_set, box, T0, cfg), reference)
 
 
 def test_run_batch_rejects_bad_stacks():
@@ -297,3 +295,62 @@ def test_integer_box_rejects_sums_beyond_exact_floats():
     s, r = [limit / 2 - 1, 1.0], [limit / 2 - 1, limit / 2 - 1]
     solve(s, r, make_box(s, r, integer_restricted=True))
     solve([1e17, 1e17], [1e17, 1e17], make_box([1e17, 1e17], [1e17, 1e17]))  # no exact-sum claim
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    n=st.integers(1, 5),
+    mode=st.sampled_from(("unit",) + OPERATOR_MODES),
+    size=st.integers(1, 6),
+    max_iterations=st.integers(1, 70),
+    record_trace=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_integer_runs_that_repeat_a_state_keep_full_length_traces(
+        m, n, mode, size, max_iterations, record_trace, seed):
+    # Only unit weights give integral projected targets; with other weights
+    # no integer run can converge, so every start runs into the cap or a cycle.
+    rng = np.random.default_rng(seed)
+    M = rng.integers(0, 10, size=(m, n)).astype(float)
+    op = unit_operator(m, n) if mode == "unit" else random_operator(rng, m, n, mode)
+    affine_set = make_affine_set(op, M @ op.e, M.T @ op.f)
+    box = make_box(M.sum(axis=1), M.sum(axis=0), integer_restricted=True)
+    starts = rng.uniform(-20.0, 20.0, size=(size, m, n))
+    for alg in ALGS:
+        cfg = SolverConfig(algorithm=alg, max_iterations=max_iterations, record_trace=record_trace)
+        for T0, trace in zip(starts, run_batch(affine_set, box, starts, cfg)):
+            reference = reference_run(affine_set, box, T0, cfg)
+            assert_same_trace(trace, reference)
+            assert_same_trace(run(affine_set, box, T0, cfg), reference)
+            assert (trace.iterates is None) == (not record_trace)
+
+
+def test_demo_integer_runs_take_the_cycle_exit_and_keep_their_traces(monkeypatch):
+    # Integer MAP settles on fixed points and DR and Dykstra enter cycles on
+    # the bundled instance. A start that leaves the stack at a repeated state
+    # is projected fewer times than its full-length trace implies, so fewer
+    # projected matrices than the reference traces imply show that the exit
+    # was taken.
+    affine_set, box = demo_problem(integer=True)
+    starts = np.random.default_rng(72).uniform(-100.0, 100.0, size=(40, 4, 5))
+    projected = [0]
+    box_project = HyperBox._project
+
+    def counting_project(self, T):
+        projected[0] += T.shape[0]
+        return box_project(self, T)
+
+    monkeypatch.setattr(HyperBox, "_project", counting_project)
+    for alg in ALGS:
+        references = [reference_run(affine_set, box, T0, SolverConfig(algorithm=alg))
+                      for T0 in starts]
+        full_length = sum(2 * len(ref.deltas) - 1 if alg == "DYK" else len(ref.deltas)
+                          for ref in references)
+        projected[0] = 0
+        plain = run_batch(affine_set, box, starts, SolverConfig(algorithm=alg))
+        assert projected[0] < full_length
+        traced = run_batch(affine_set, box, starts, SolverConfig(algorithm=alg, record_trace=True))
+        for trace, traced_trace, reference in zip(plain, traced, references):
+            assert_same_trace(trace, reference)
+            assert_same_trace(traced_trace, reference)
