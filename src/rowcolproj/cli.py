@@ -121,7 +121,8 @@ def cmd_project(args):
 
 def cmd_solve(args):
     """One run from --input, or from the start that run 0 of the same experiment draws."""
-    spec = _spec_from_args(args, case=args.case, seed=args.seed, num_runs=1)
+    spec = _spec_from_args(args, case=args.case, seed=args.seed, num_runs=1,
+                           max_iterations=args.iters, feasibility_tol=args.tol)
     affine_set, box = _build_problem(spec.s, spec.r, spec.case)
     if args.input:
         T0 = read_matrix(args.input)
@@ -130,8 +131,8 @@ def cmd_solve(args):
                              f"but the targets imply {spec.m}x{spec.n}")
     else:
         T0 = draw_start(spec, 0)
-    cfg = SolverConfig(algorithm=args.alg.upper(), max_iterations=args.iters,
-                       feasibility_tol=args.tol)
+    cfg = SolverConfig(algorithm=args.alg.upper(), max_iterations=spec.max_iterations,
+                       feasibility_tol=spec.feasibility_tol)
     trace = run(affine_set, box, T0, cfg)
     for k, delta in enumerate(trace.deltas):
         print(f"{k} {_fmt(delta)}")
@@ -194,8 +195,8 @@ def build_parser():
     p_solve.add_argument("--input", help="start matrix file; omit to draw a random start")
     p_solve.add_argument("--alg", choices=["dr", "map", "dyk"], default="dr")
     p_solve.add_argument("--seed", type=int, default=1, help="seed for the random start")
-    p_solve.add_argument("--iters", type=int, default=250)
-    p_solve.add_argument("--tol", type=float, default=1e-9)
+    p_solve.add_argument("--iters", type=int, help="default: the config's max_iterations")
+    p_solve.add_argument("--tol", type=float, help="default: the config's feasibility_tol")
     p_solve.add_argument("--case", choices=["convex", "integer"], default="convex")
     p_solve.add_argument("--row-sums", help="target row sums (default: bundled 4x5 instance)")
     p_solve.add_argument("--col-sums", help="target column sums")
@@ -210,7 +211,8 @@ def build_parser():
     p_exp.add_argument("--tol", type=float)
     p_exp.add_argument("--case", choices=["convex", "integer"])
     p_exp.add_argument("--out-dir", default="experiment-out")
-    p_exp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_exp.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (at most the CPU count are started)")
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 

@@ -19,6 +19,7 @@ byte-identical regardless of worker scheduling.
 import json
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -252,13 +253,18 @@ def _run_chunk(spec, indices):
 
 
 def run_experiment(spec, jobs=1):
-    """Execute the batch; returns (records sorted by run index, summary dict)."""
+    """Execute the batch in at most ``jobs`` worker processes, and never more
+    than the CPU count; returns (records sorted by run index, summary dict)."""
+    jobs = as_integer(jobs, name="jobs")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1, spec.num_runs)
     indices = list(range(spec.num_runs))
-    if jobs <= 1 or spec.num_runs == 1:
+    if workers == 1:
         records = _run_chunk(spec, indices)
     else:
-        chunks = [indices[k::jobs] for k in range(min(jobs, spec.num_runs))]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        chunks = [indices[k::workers] for k in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_run_chunk, [spec] * len(chunks), chunks)
             records = [rec for part in parts for rec in part]
     records.sort(key=lambda rec: rec.run_index)

@@ -2,8 +2,9 @@
 
 Everything here operates on plain float64 numpy arrays: matrices are
 2-d ``(m, n)`` arrays, vectors are 1-d arrays. Inputs crossing a public
-boundary are validated once with :func:`as_matrix` / :func:`as_vector`
-(and counts with :func:`as_integer`) and treated as immutable afterwards.
+boundary are validated once with :func:`as_array` or its
+:func:`as_vector` / :func:`as_matrix` forms (counts with
+:func:`as_integer`) and treated as immutable afterwards.
 """
 
 import operator
@@ -19,34 +20,31 @@ def as_integer(value, name="value"):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def as_vector(v, dim=None, name="vector"):
-    """Validate and return ``v`` as a finite float64 1-d array."""
+def as_array(a, ndim, shape=(), name="array"):
+    """Validate and return ``a`` as a nonempty, finite float64 array with
+    ``ndim`` axes, the last ``len(shape)`` of which have the lengths ``shape``."""
     try:
-        arr = np.asarray(v, dtype=np.float64)
+        arr = np.asarray(a, dtype=np.float64)
     except TypeError as exc:
         raise ValueError(f"{name} must hold numbers: {exc}") from None
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"{name} must have length {dim}, got {arr.shape[0]}")
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty {ndim}-d array, got shape {arr.shape}")
+    want = arr.shape[:ndim - len(shape)] + tuple(shape)
+    if arr.shape != want:
+        raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_vector(v, dim=None, name="vector"):
+    """Validate and return ``v`` as a finite float64 1-d array (of length ``dim``)."""
+    return as_array(v, 1, () if dim is None else (dim,), name)
 
 
 def as_matrix(T, shape=None, name="matrix"):
-    """Validate and return ``T`` as a finite float64 2-d array."""
-    try:
-        arr = np.asarray(T, dtype=np.float64)
-    except TypeError as exc:
-        raise ValueError(f"{name} must hold numbers: {exc}") from None
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 2-d array, got shape {arr.shape}")
-    if shape is not None and arr.shape != tuple(shape):
-        raise ValueError(f"{name} must have shape {tuple(shape)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    """Validate and return ``T`` as a finite float64 2-d array (of ``shape``)."""
+    return as_array(T, 2, shape or (), name)
 
 
 def frobenius_norm(T):

@@ -25,30 +25,32 @@ Integer runs also stop at their first repeated state (T_k, and R_k for
 Dykstra). Each start's state is saved at k = 1, 2, 4, 8, ... and
 compared bit for bit with every later state; the rounding box makes
 exact repeats common (integer MAP settles on a fixed point, DR enters
-short cycles). The update is a fixed function of the state, so a state
-at iteration k equal to the one saved at iteration j repeats with period
-p = k - j for ever, and none of delta_j, ..., delta_{k-1} passed: the
-run can never converge. The engine marks it not converged and fills its
-deltas (and, when recorded, its iterates and Dykstra box candidates) up
-to max_iterations with the periodic continuation, so every trace is bit
+short cycles). The comparison runs after delta_k, in the same exit step
+as the feasibility check: a state equal to a saved one has the same
+P_A and delta, so it is never feasible when the saved one was not. The
+update is a fixed function of the state, so a state at iteration k
+equal to the one saved at iteration j repeats with period p = k - j for
+ever, and none of delta_j, ..., delta_{k-1} passed: the run can never
+converge. The engine marks it not converged and fills its deltas up to
+max_iterations with the periodic continuation, so every trace is bit
 for bit the one a full-length run gives.
 
 One engine runs every start of a batch as a (B, m, n) stack: each step
 is elementwise or acts on each matrix of the stack alone, so a start's
 delta_k sequence and first feasible point are bit for bit the same
 whether it runs alone (:func:`run`) or inside any batch
-(:func:`run_batch`). A start leaves the stack at its first feasible
-iterate.
+(:func:`run_batch`). A start leaves the stack at its first feasible or
+repeated state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .affine import AffineMarginalSet
 from .box import HyperBox
-from .linalg import as_integer, as_matrix, frobenius_norm
+from .linalg import as_array, as_integer, as_matrix, frobenius_norm
 
 # The one solver implementation; recorded in experiment summaries.
 BACKEND = "numpy"
@@ -64,7 +66,6 @@ class SolverConfig:
     algorithm: str
     max_iterations: int = 250
     feasibility_tol: float = 1e-9
-    record_trace: bool = False
 
     def __post_init__(self):
         alg = str(self.algorithm).upper()
@@ -88,8 +89,6 @@ class SolverTrace:
     first_feasible_iteration: Optional[int]
     first_feasible_matrix: Optional[np.ndarray]
     converged: bool
-    iterates: Optional[list] = None
-    box_candidates: Optional[list] = field(default=None, repr=False)
 
 
 def _integer_goals(affine_set):
@@ -134,49 +133,34 @@ def _solve(affine_set, box, T, cfg):
     width = 2 if alg == "DYK" else 1    # the state is T, or (T, R) for Dykstra
     saved, saved_at = (), 0             # each active start's state at iteration saved_at
     s_goal, r_goal, targets_integral = _integer_goals(affine_set)
-    iterates = [[] for _ in range(size)] if cfg.record_trace else None
-    candidates = [[] for _ in range(size)] if cfg.record_trace and alg == "DYK" else None
     for k in range(last + 1):
-        if box.integer_restricted and k > 0:
-            cycled = _repeated((T, R)[:width], saved) if saved else np.zeros(len(active), dtype=bool)
-            if cycled.any():
-                # state k equals state saved_at, so iteration t >= k repeats source[t - k]
-                p = k - saved_at
-                source = saved_at + (np.arange(k, last + 1) - saved_at) % p
-                rows = active[cycled]
-                deltas[rows, k:] = deltas[rows][:, source]
-                for seq, end in ((iterates, last + 1), (candidates, last)):
-                    if seq is not None:
-                        for j in rows:
-                            seq[j] += [seq[j][t].copy() for t in source[:end - k]]
-                if cycled.all():
-                    break
-                keep = ~cycled
-                active, T, R = active[keep], T[keep], R[keep]
-                saved = tuple(S[keep] for S in saved)
-            if k & (k - 1) == 0:
-                saved, saved_at = tuple(S.copy() for S in (T, R)[:width]), k
-        if iterates is not None:
-            for j, Tj in zip(active, T):
-                iterates[j].append(Tj.copy())
         PA = box._project(T)
         PB = affine_set._project(PA)
         delta = frobenius_norm(PA - PB)
         deltas[active, k] = delta
-        feasible = delta <= cfg.feasibility_tol
-        if box.integer_restricted and feasible.any():
-            feasible[feasible] = targets_integral & _exact_integer_sums(PA[feasible], s_goal, r_goal)
-        if feasible.any():
-            for j, P in zip(active[feasible], PA[feasible]):
-                stop[j] = k
-                found[j] = P
-            if feasible.all():
-                break
-            keep = ~feasible
+        done = delta <= cfg.feasibility_tol     # the feasible starts; below, also the repeated
+        if box.integer_restricted and done.any():
+            done[done] = targets_integral & _exact_integer_sums(PA[done], s_goal, r_goal)
+        for j, P in zip(active[done], PA[done]):
+            stop[j] = k
+            found[j] = P
+        if saved:
+            # a repeated state has the P_A and delta of the saved one, so it is never feasible
+            cycled = _repeated((T, R)[:width], saved)
+            if cycled.any():
+                # state k equals state saved_at, so iteration t >= k repeats source[t - k]
+                source = saved_at + (np.arange(k, last + 1) - saved_at) % (k - saved_at)
+                rows = active[cycled]
+                deltas[rows, k:] = deltas[rows][:, source]
+                done |= cycled
+        if k == last or done.all():
+            break
+        if done.any():
+            keep = ~done
             active, T, R, PA, PB = active[keep], T[keep], R[keep], PA[keep], PB[keep]
             saved = tuple(S[keep] for S in saved)
-        if k == last:
-            break
+        if box.integer_restricted and k > 0 and k & (k - 1) == 0:
+            saved, saved_at = tuple(S.copy() for S in (T, R)[:width]), k
         if alg == "DR":
             T = T - PA + affine_set._project(2.0 * PA - T)
         elif alg == "MAP":
@@ -184,9 +168,6 @@ def _solve(affine_set, box, T, cfg):
         else:
             W = T + R
             AK = box._project(W)
-            if candidates is not None:
-                for j, A in zip(active, AK):
-                    candidates[j].append(A.copy())
             R = W - AK
             T = affine_set._project(AK)
     return [
@@ -196,8 +177,6 @@ def _solve(affine_set, box, T, cfg):
             first_feasible_iteration=None if found[j] is None else int(stop[j]),
             first_feasible_matrix=found[j],
             converged=found[j] is not None,
-            iterates=None if iterates is None else iterates[j],
-            box_candidates=None if candidates is None else candidates[j],
         )
         for j in range(size)
     ]
@@ -227,11 +206,6 @@ def run_batch(affine_set: AffineMarginalSet, box: HyperBox, starts, cfg: SolverC
     Returns one :class:`SolverTrace` per start, each bit for bit the
     trace :func:`run` gives for that start alone.
     """
-    starts = np.asarray(starts, dtype=np.float64)
-    if starts.ndim != 3 or starts.shape[0] == 0 or starts.shape[1:] != affine_set.shape:
-        raise ValueError(f"starts must be a nonempty stack of {affine_set.shape} matrices, "
-                         f"got shape {starts.shape}")
-    if not np.all(np.isfinite(starts)):
-        raise ValueError("starts contain non-finite entries")
+    starts = as_array(starts, 3, affine_set.shape, name="stack of starts")
     _check_box(affine_set, box)
     return _solve(affine_set, box, starts, cfg)

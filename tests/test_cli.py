@@ -216,6 +216,8 @@ def test_console_entry_point_help():
     (["solve", "--iters", "0"], "max_iterations"),
     (["experiment", "--iters", "0"], "max_iterations"),
     (["solve", "--row-sums", "1,x", "--col-sums", "1"], "row sums: could not convert string"),
+    (["experiment", "--jobs", "0"], "jobs must be >= 1, got 0"),
+    (["experiment", "--jobs", "-3"], "jobs must be >= 1, got -3"),
 ])
 def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys):
     rc = main(argv + (["--out-dir", str(tmp_path)] if argv[0] == "experiment" else []))
@@ -317,3 +319,33 @@ def test_solve_draws_its_start_from_the_config_init_interval(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "feasible at iteration 1\n" in out
     assert "distance to start (spectral): 11.671833060332743\n" in out
+
+
+@pytest.mark.parametrize("setting, solve_says", [
+    ({"max_iterations": 3}, "no feasible point within 3 iterations"),
+    ({"feasibility_tol": 5.0}, "feasible at iteration 10\n"),
+])
+def test_solve_takes_iterations_and_tolerance_from_the_config(setting, solve_says, tmp_path, capsys):
+    # without the config's values, solve runs to the default 250 iterations
+    # and 1e-9 tolerance and reports feasibility at iteration 11
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"s": DEMO_ROW_SUMS.tolist(), "r": DEMO_COL_SUMS.tolist(),
+                                  **setting}))
+    assert main(["experiment", "--config", str(config), "--runs", "1", "--seed", "5",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    header, row0 = (tmp_path / "out" / "runs.csv").read_text().splitlines()[:2]
+    run0 = dict(zip(header.split(","), row0.split(",")))
+    capsys.readouterr()
+    rc = main(["solve", "--config", str(config), "--seed", "5"])
+    out = capsys.readouterr().out
+    assert solve_says in out
+    if run0["dr_converged"] == "true":
+        assert rc == 0
+        assert f"feasible at iteration {run0['dr_iterations']}\n" in out
+        assert f"distance to start (spectral): {run0['dr_distance']}\n" in out
+    else:
+        assert rc == 1
+    # the flags still override the config
+    assert main(["solve", "--config", str(config), "--seed", "5", "--iters", "250",
+                 "--tol", "1e-9"]) == 0
+    assert "feasible at iteration 11\n" in capsys.readouterr().out

@@ -194,6 +194,49 @@ def test_parallel_jobs_equal_sequential():
             assert np.array_equal(a.results[key].deltas, b.results[key].deltas)
 
 
+def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size, maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    spec = small_spec(num_runs=10, max_iterations=30)
+    records, summary = run_experiment(spec, jobs=1)
+    for jobs, workers in ((2, 2), (3, 3), (1000, 3)):
+        pooled, pooled_summary = run_experiment(spec, jobs=jobs)
+        assert started.pop() == workers
+        assert pooled_summary == summary
+        for a, b in zip(records, pooled):
+            assert a.run_index == b.run_index
+            for key in a.results:
+                assert a.results[key].iterations == b.results[key].iterations
+                assert same_bits(a.results[key].deltas, b.results[key].deltas)
+    run_experiment(small_spec(num_runs=2, max_iterations=5), jobs=1000)
+    assert started.pop() == 2
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    run_experiment(spec, jobs=4)
+    assert started == []
+    for jobs, message in ((0, "jobs must be >= 1, got 0"), (-2, "jobs must be >= 1, got -2"),
+                          (2.5, "jobs must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            run_experiment(spec, jobs=jobs)
+    assert started == []
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     m=st.integers(1, 4),
@@ -227,7 +270,7 @@ def test_runs_do_not_depend_on_jobs_or_batch(m, n, case, num_runs, block_runs, s
                 assert res.distance == other.distance
                 assert same_bits(res.solution, other.solution)
             cfg = SolverConfig(algorithm=key, max_iterations=30)
-            reference = reference_run(affine_set, box, T0, cfg)
+            reference = reference_run(affine_set, box, T0, cfg).trace
             matrix = reference.first_feasible_matrix
             assert same_bits(res.deltas, reference.deltas)
             assert res.iterations == reference.first_feasible_iteration

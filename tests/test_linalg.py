@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rowcolproj.linalg import (
+    as_array,
     as_matrix,
     as_vector,
     frobenius_norm,
@@ -119,15 +120,21 @@ def test_frobenius_norm_of_a_stack_matches_each_matrix():
 
 
 def test_validation_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
         as_matrix([[1.0, np.nan]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vector contains non-finite entries"):
         as_vector([np.inf])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be a nonempty 2-d array, got shape \\(2,\\)"):
         as_matrix([1.0, 2.0])  # 1-d input
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="v must be a nonempty 1-d array"):
         as_vector([[1.0], [2.0]], name="v")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must have shape \\(2, 3\\), got \\(2, 2\\)"):
         as_matrix(np.ones((2, 2)), shape=(2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must have shape \\(3,\\), got \\(2,\\)"):
         as_vector(np.ones(2), dim=3)
+    # a stack's leading length is free; each matrix's shape is checked
+    with pytest.raises(ValueError, match="must have shape \\(5, 2, 3\\), got \\(5, 3, 2\\)"):
+        as_array(np.ones((5, 3, 2)), 3, (2, 3))
+    with pytest.raises(ValueError, match="must hold numbers"):
+        as_array({"a": 1}, 1)
+    assert as_array([[[1, 2, 3]], [[4, 5, 6]]], 3, (1, 3)).dtype == np.float64

@@ -28,6 +28,13 @@ def demo_problem(integer=False):
     return affine_set, box
 
 
+def pinned_reference(affine_set, box, T0, cfg):
+    """The reference run from T0, once the engine's trace is checked to be its bits."""
+    reference = reference_run(affine_set, box, T0, cfg)
+    assert_same_trace(run(affine_set, box, T0, cfg), reference.trace)
+    return reference
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(algorithm="newton")
@@ -76,14 +83,13 @@ def test_traces_are_bit_identical(alg):
     affine_set, box = demo_problem()
     rng = np.random.default_rng(60)
     T0 = rng.uniform(-100, 100, size=(4, 5))
-    for record_trace in (False, True):
-        cfg = SolverConfig(algorithm=alg, record_trace=record_trace)
-        t1 = run(affine_set, box, T0, cfg)
-        t2 = run(affine_set, box, T0, cfg)
-        assert np.array_equal(t1.deltas, t2.deltas)
-        assert t1.first_feasible_iteration == t2.first_feasible_iteration
-        if t1.converged:
-            assert np.array_equal(t1.first_feasible_matrix, t2.first_feasible_matrix)
+    cfg = SolverConfig(algorithm=alg)
+    t1 = run(affine_set, box, T0, cfg)
+    t2 = run(affine_set, box, T0, cfg)
+    assert np.array_equal(t1.deltas, t2.deltas)
+    assert t1.first_feasible_iteration == t2.first_feasible_iteration
+    if t1.converged:
+        assert np.array_equal(t1.first_feasible_matrix, t2.first_feasible_matrix)
 
 
 @pytest.mark.parametrize("alg", ALGS)
@@ -91,10 +97,9 @@ def test_deltas_recomputable_from_recorded_iterates(alg):
     affine_set, box = demo_problem()
     rng = np.random.default_rng(62)
     T0 = rng.uniform(-100, 100, size=(4, 5))
-    cfg = SolverConfig(algorithm=alg, record_trace=True, max_iterations=40)
-    trace = run(affine_set, box, T0, cfg)
-    assert len(trace.iterates) == len(trace.deltas)
-    for Tk, delta in zip(trace.iterates, trace.deltas):
+    reference = pinned_reference(affine_set, box, T0, SolverConfig(algorithm=alg, max_iterations=40))
+    assert len(reference.iterates) == len(reference.trace.deltas)
+    for Tk, delta in zip(reference.iterates, reference.trace.deltas):
         PA = box.project(Tk)
         assert frobenius_norm(PA - affine_set.project(PA)) == delta
 
@@ -103,8 +108,8 @@ def test_recorded_iterates_follow_map_recurrence():
     affine_set, box = demo_problem()
     rng = np.random.default_rng(63)
     T0 = rng.uniform(-100, 100, size=(4, 5))
-    trace = run(affine_set, box, T0, SolverConfig(algorithm="MAP", record_trace=True))
-    for Tk, Tk1 in zip(trace.iterates, trace.iterates[1:]):
+    iterates = pinned_reference(affine_set, box, T0, SolverConfig(algorithm="MAP")).iterates
+    for Tk, Tk1 in zip(iterates, iterates[1:]):
         assert np.array_equal(Tk1, affine_set.project(box.project(Tk)))
 
 
@@ -112,8 +117,8 @@ def test_recorded_iterates_follow_dr_recurrence():
     affine_set, box = demo_problem()
     rng = np.random.default_rng(64)
     T0 = rng.uniform(-100, 100, size=(4, 5))
-    trace = run(affine_set, box, T0, SolverConfig(algorithm="DR", record_trace=True))
-    for Tk, Tk1 in zip(trace.iterates, trace.iterates[1:]):
+    iterates = pinned_reference(affine_set, box, T0, SolverConfig(algorithm="DR")).iterates
+    for Tk, Tk1 in zip(iterates, iterates[1:]):
         PA = box.project(Tk)
         assert np.array_equal(Tk1, Tk - PA + affine_set.project(2.0 * PA - Tk))
 
@@ -122,10 +127,9 @@ def test_dykstra_records_box_candidates():
     affine_set, box = demo_problem()
     rng = np.random.default_rng(65)
     T0 = rng.uniform(-100, 100, size=(4, 5))
-    trace = run(affine_set, box, T0, SolverConfig(algorithm="DYK", record_trace=True))
-    assert trace.box_candidates is not None
-    assert len(trace.box_candidates) == len(trace.iterates) - 1
-    for A in trace.box_candidates:
+    reference = pinned_reference(affine_set, box, T0, SolverConfig(algorithm="DYK"))
+    assert len(reference.box_candidates) == len(reference.iterates) - 1 > 0
+    for A in reference.box_candidates:
         assert box.contains(A)
 
 
@@ -134,10 +138,10 @@ def test_map_shadow_sequence_fejer_monotone():
     rng = np.random.default_rng(66)
     for _ in range(5):
         T0 = rng.uniform(-100, 100, size=(4, 5))
-        trace = run(affine_set, box, T0, SolverConfig(algorithm="MAP", record_trace=True))
-        assert trace.converged
-        target = trace.first_feasible_matrix
-        dists = [frobenius_norm(box.project(Tk) - target) for Tk in trace.iterates]
+        reference = pinned_reference(affine_set, box, T0, SolverConfig(algorithm="MAP"))
+        assert reference.trace.converged
+        target = reference.trace.first_feasible_matrix
+        dists = [frobenius_norm(box.project(Tk) - target) for Tk in reference.iterates]
         for d_now, d_next in zip(dists, dists[1:]):
             assert d_next <= d_now + 1e-9
 
@@ -245,12 +249,11 @@ def test_batch_runs_match_reference_and_single_runs_bit_for_bit(
     box = make_box(M.sum(axis=1), M.sum(axis=0), integer_restricted=integer)
     starts = rng.uniform(-20.0, 20.0, size=(size, m, n))
     for alg in ALGS:
-        cfg = SolverConfig(algorithm=alg, max_iterations=max_iterations, feasibility_tol=tol,
-                           record_trace=True)
+        cfg = SolverConfig(algorithm=alg, max_iterations=max_iterations, feasibility_tol=tol)
         batch = run_batch(affine_set, box, starts, cfg)
         assert len(batch) == size
         for T0, trace in zip(starts, batch):
-            reference = reference_run(affine_set, box, T0, cfg)
+            reference = reference_run(affine_set, box, T0, cfg).trace
             assert_same_trace(trace, reference)
             assert_same_trace(run(affine_set, box, T0, cfg), reference)
 
@@ -304,11 +307,10 @@ def test_integer_box_rejects_sums_beyond_exact_floats():
     mode=st.sampled_from(("unit",) + OPERATOR_MODES),
     size=st.integers(1, 6),
     max_iterations=st.integers(1, 70),
-    record_trace=st.booleans(),
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_integer_runs_that_repeat_a_state_keep_full_length_traces(
-        m, n, mode, size, max_iterations, record_trace, seed):
+        m, n, mode, size, max_iterations, seed):
     # Only unit weights give integral projected targets; with other weights
     # no integer run can converge, so every start runs into the cap or a cycle.
     rng = np.random.default_rng(seed)
@@ -318,12 +320,11 @@ def test_integer_runs_that_repeat_a_state_keep_full_length_traces(
     box = make_box(M.sum(axis=1), M.sum(axis=0), integer_restricted=True)
     starts = rng.uniform(-20.0, 20.0, size=(size, m, n))
     for alg in ALGS:
-        cfg = SolverConfig(algorithm=alg, max_iterations=max_iterations, record_trace=record_trace)
+        cfg = SolverConfig(algorithm=alg, max_iterations=max_iterations)
         for T0, trace in zip(starts, run_batch(affine_set, box, starts, cfg)):
-            reference = reference_run(affine_set, box, T0, cfg)
+            reference = reference_run(affine_set, box, T0, cfg).trace
             assert_same_trace(trace, reference)
             assert_same_trace(run(affine_set, box, T0, cfg), reference)
-            assert (trace.iterates is None) == (not record_trace)
 
 
 def test_demo_integer_runs_take_the_cycle_exit_and_keep_their_traces(monkeypatch):
@@ -343,14 +344,12 @@ def test_demo_integer_runs_take_the_cycle_exit_and_keep_their_traces(monkeypatch
 
     monkeypatch.setattr(HyperBox, "_project", counting_project)
     for alg in ALGS:
-        references = [reference_run(affine_set, box, T0, SolverConfig(algorithm=alg))
+        references = [reference_run(affine_set, box, T0, SolverConfig(algorithm=alg)).trace
                       for T0 in starts]
         full_length = sum(2 * len(ref.deltas) - 1 if alg == "DYK" else len(ref.deltas)
                           for ref in references)
         projected[0] = 0
-        plain = run_batch(affine_set, box, starts, SolverConfig(algorithm=alg))
+        batch = run_batch(affine_set, box, starts, SolverConfig(algorithm=alg))
         assert projected[0] < full_length
-        traced = run_batch(affine_set, box, starts, SolverConfig(algorithm=alg, record_trace=True))
-        for trace, traced_trace, reference in zip(plain, traced, references):
+        for trace, reference in zip(batch, references):
             assert_same_trace(trace, reference)
-            assert_same_trace(traced_trace, reference)
