@@ -138,12 +138,10 @@ def _solve(affine_set, box, T, cfg):
         PB = affine_set._project(PA)
         delta = frobenius_norm(PA - PB)
         deltas[active, k] = delta
-        done = delta <= cfg.feasibility_tol     # the feasible starts; below, also the repeated
-        if box.integer_restricted and done.any():
-            done[done] = targets_integral & _exact_integer_sums(PA[done], s_goal, r_goal)
-        for j, P in zip(active[done], PA[done]):
-            stop[j] = k
-            found[j] = P
+        feasible = delta <= cfg.feasibility_tol
+        if box.integer_restricted and feasible.any():
+            feasible[feasible] = targets_integral & _exact_integer_sums(PA[feasible], s_goal, r_goal)
+        done = feasible
         if saved:
             # a repeated state has the P_A and delta of the saved one, so it is never feasible
             cycled = _repeated((T, R)[:width], saved)
@@ -152,13 +150,18 @@ def _solve(affine_set, box, T, cfg):
                 source = saved_at + (np.arange(k, last + 1) - saved_at) % (k - saved_at)
                 rows = active[cycled]
                 deltas[rows, k:] = deltas[rows][:, source]
-                done |= cycled
-        if k == last or done.all():
-            break
+                done = feasible | cycled
         if done.any():
+            for j, P in zip(active[feasible], PA[feasible]):
+                stop[j] = k
+                found[j] = P
+            if done.all():
+                break
             keep = ~done
             active, T, R, PA, PB = active[keep], T[keep], R[keep], PA[keep], PB[keep]
             saved = tuple(S[keep] for S in saved)
+        if k == last:
+            break
         if box.integer_restricted and k > 0 and k & (k - 1) == 0:
             saved, saved_at = tuple(S.copy() for S in (T, R)[:width]), k
         if alg == "DR":
