@@ -71,14 +71,6 @@ class HyperBox:
             return clamped
         return np.clip(round_half_away(clamped), self.int_lower, self.int_upper)
 
-    def contains(self, T, integral_tol=0.0):
-        """Entrywise membership check (exact bounds; exact integrality)."""
-        T = as_matrix(T, shape=self.shape, name="T")
-        inside = bool(np.all(T >= self.lower) and np.all(T <= self.upper))
-        if not self.integer_restricted:
-            return inside
-        return inside and bool(np.all(np.abs(T - np.round(T)) <= integral_tol))
-
 
 def make_box(s, r, integer_restricted=False):
     """Box with entry (i, j) bounded by [0, min(s_i, r_j)].

@@ -8,6 +8,7 @@ digits so files round-trip exactly.
 import argparse
 import json
 import sys
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from .operator import ScaledMarginalOperator
 from .solvers import SolverConfig, run
 
 DEFAULT_CONFIG = "demo_4x5.json"
+
+SPEC_FIELDS = frozenset(f.name for f in fields(ExperimentSpec))
 
 
 def read_matrix(path):
@@ -75,15 +78,18 @@ def load_config(path=None):
         raise ValueError(f"cannot load config {path}: {exc}") from None
 
 
-def _spec_from_args(args, **overrides):
-    """The --config spec (default: the bundled instance) with the targets of
-    --row-sums/--col-sums and ``overrides`` applied, validated as an experiment spec."""
-    return ExperimentSpec.from_config(
-        load_config(args.config),
-        s=_parse_vector(args.row_sums, "row sums") if args.row_sums else None,
-        r=_parse_vector(args.col_sums, "column sums") if args.col_sums else None,
-        **overrides,
-    )
+def _spec_from_args(args, **fixed):
+    """The one place where flags reach a spec: the --config spec (default: the
+    bundled instance) with every given flag whose dest names a spec field, the
+    targets of --row-sums/--col-sums and ``fixed`` applied. A flag left unset
+    (None) keeps the config's value."""
+    flags = vars(args)
+    overrides = {name: value for name, value in flags.items() if name in SPEC_FIELDS}
+    if flags.get("row_sums"):
+        overrides["s"] = _parse_vector(flags["row_sums"], "row sums")
+    if flags.get("col_sums"):
+        overrides["r"] = _parse_vector(flags["col_sums"], "column sums")
+    return ExperimentSpec.from_config(load_config(args.config), **overrides, **fixed)
 
 
 def cmd_project(args):
@@ -121,8 +127,7 @@ def cmd_project(args):
 
 def cmd_solve(args):
     """One run from --input, or from the start that run 0 of the same experiment draws."""
-    spec = _spec_from_args(args, case=args.case, seed=args.seed, num_runs=1,
-                           max_iterations=args.iters, feasibility_tol=args.tol)
+    spec = _spec_from_args(args, num_runs=1)
     affine_set, box = _build_problem(spec.s, spec.r, spec.case)
     if args.input:
         T0 = read_matrix(args.input)
@@ -147,18 +152,9 @@ def cmd_solve(args):
 
 
 def cmd_experiment(args):
-    cfg = load_config(args.config)
-    spec = ExperimentSpec.from_config(
-        cfg,
-        seed=args.seed,
-        num_runs=args.runs,
-        max_iterations=args.iters,
-        feasibility_tol=args.tol,
-        case=args.case,
-    )
+    spec = _spec_from_args(args)
     records, summary = run_experiment(spec, jobs=args.jobs)
-    out_dir = Path(args.out_dir)
-    paths = emit_outputs(records, summary, out_dir)
+    paths = emit_outputs(records, summary, args.out_dir)
     print(f"backend: {summary['backend']}")
     for name, count in summary["convergence_counts"].items():
         print(f"{name} converged: {count}/{spec.num_runs}")
@@ -168,6 +164,16 @@ def cmd_experiment(args):
     for path in paths:
         print(f"wrote {path}")
     return 0
+
+
+def _add_spec_flags(parser):
+    """Flags named after the ExperimentSpec field they override; unset, the config's value holds."""
+    parser.add_argument("--seed", type=int, help="default: the config's seed")
+    parser.add_argument("--iters", type=int, dest="max_iterations", metavar="ITERS",
+                        help="default: the config's max_iterations")
+    parser.add_argument("--tol", type=float, dest="feasibility_tol", metavar="TOL",
+                        help="default: the config's feasibility_tol")
+    parser.add_argument("--case", choices=["convex", "integer"], help="default: the config's case")
 
 
 def build_parser():
@@ -182,34 +188,31 @@ def build_parser():
     p_proj.add_argument("input", help="matrix file (first line 'm n', then m rows)")
     p_proj.add_argument("--spec", choices=["general", "unit-sums", "ghr", "bistochastic"],
                         default="unit-sums", help="which projection to apply")
-    p_proj.add_argument("--row-sums", help="target row sums, comma or space separated")
-    p_proj.add_argument("--col-sums", help="target column sums")
+    p_proj.add_argument("--row-sums", help="target row sums, comma or space separated "
+                                           "(unit-sums/general)")
+    p_proj.add_argument("--col-sums", help="target column sums (unit-sums/general)")
     p_proj.add_argument("--row-weights", help="row weight vector f (general/ghr)")
     p_proj.add_argument("--col-weights", help="column weight vector e (general/ghr)")
     p_proj.add_argument("--gamma", type=float, default=1.0, help="scale for the ghr spec")
-    p_proj.add_argument("--config", help="JSON config supplying default targets")
+    p_proj.add_argument("--config", help="JSON config supplying default targets (unit-sums/general)")
     p_proj.add_argument("--output", help="write result here instead of stdout")
     p_proj.set_defaults(func=cmd_project)
 
     p_solve = sub.add_parser("solve", help="run one algorithm from a single start matrix")
     p_solve.add_argument("--input", help="start matrix file; omit to draw a random start")
     p_solve.add_argument("--alg", choices=["dr", "map", "dyk"], default="dr")
-    p_solve.add_argument("--seed", type=int, default=1, help="seed for the random start")
-    p_solve.add_argument("--iters", type=int, help="default: the config's max_iterations")
-    p_solve.add_argument("--tol", type=float, help="default: the config's feasibility_tol")
-    p_solve.add_argument("--case", choices=["convex", "integer"], default="convex")
+    _add_spec_flags(p_solve)
     p_solve.add_argument("--row-sums", help="target row sums (default: bundled 4x5 instance)")
     p_solve.add_argument("--col-sums", help="target column sums")
-    p_solve.add_argument("--config", help="JSON config supplying default targets")
+    p_solve.add_argument("--config", help="JSON config supplying every spec field a flag "
+                                          "does not set (default: bundled 4x5 instance)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_exp = sub.add_parser("experiment", help="random-start batch over all three algorithms")
     p_exp.add_argument("--config", help="JSON experiment config (default: bundled 4x5 instance)")
-    p_exp.add_argument("--seed", type=int)
-    p_exp.add_argument("--runs", type=int)
-    p_exp.add_argument("--iters", type=int)
-    p_exp.add_argument("--tol", type=float)
-    p_exp.add_argument("--case", choices=["convex", "integer"])
+    p_exp.add_argument("--runs", type=int, dest="num_runs", metavar="RUNS",
+                       help="default: the config's num_runs")
+    _add_spec_flags(p_exp)
     p_exp.add_argument("--out-dir", default="experiment-out")
     p_exp.add_argument("--jobs", type=int, default=1,
                        help="worker processes (at most the CPU count are started)")

@@ -17,18 +17,17 @@ byte-identical regardless of worker scheduling.
 """
 
 import json
-import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .affine import make_affine_set
 from .box import ROUNDING_TIE_RULE, make_box
-from .linalg import as_integer, as_vector, spectral_norm
+from .linalg import as_integer, as_vector, check_finite, spectral_norm
 from .operator import unit_operator
 # ``run`` is not called here; the name stays so that tools which wrap
 # ``harness.run`` at run time (perfbench/tracing.py) still find it.
@@ -80,9 +79,9 @@ class ExperimentSpec:
         for name in ("num_runs", "seed", "max_iterations"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name=name))
         for name in ("init_low", "init_high"):
-            _check_finite(name, getattr(self, name))
+            check_finite(getattr(self, name), name=name)
         for name in ("feasibility_tol", "distance_tie_tol"):
-            _check_finite(name, getattr(self, name), nonnegative=True)
+            check_finite(getattr(self, name), name=name, nonnegative=True)
         if self.num_runs < 1:
             raise ValueError("num_runs must be >= 1")
         if not self.init_low < self.init_high:
@@ -122,13 +121,6 @@ class ExperimentSpec:
         if missing:
             raise ValueError(f"the config has no {' or '.join(missing)} (target row and column sums)")
         return cls(**merged)
-
-
-def _check_finite(name, value, nonnegative=False):
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and (value >= 0 or not nonnegative)):
-        kind = "a finite nonnegative number" if nonnegative else "a finite number"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -380,8 +372,10 @@ def _solution_cell(solution):
 def emit_outputs(records, summary, out_dir):
     """Write runs.csv, summary.json, deltas.csv, and schema.json under out_dir.
 
-    I/O errors propagate with the offending path in the exception.
+    ``out_dir`` is a path or a string. I/O errors propagate with the
+    offending path in the exception.
     """
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = ["run_index"]
     for key in ALGORITHMS:

@@ -4,9 +4,12 @@ Everything here operates on plain float64 numpy arrays: matrices are
 2-d ``(m, n)`` arrays, vectors are 1-d arrays. Inputs crossing a public
 boundary are validated once with :func:`as_array` or its
 :func:`as_vector` / :func:`as_matrix` forms (counts with
-:func:`as_integer`) and treated as immutable afterwards.
+:func:`as_integer`, real-number settings with :func:`check_finite`) and
+treated as immutable afterwards.
 """
 
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -18,6 +21,15 @@ def as_integer(value, name="value"):
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_finite(value, name="value", nonnegative=False):
+    """Refuse ``value`` unless it is a finite real number (and >= 0 when
+    ``nonnegative``): a string, None or a non-finite value raises a ValueError."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value >= 0 or not nonnegative)):
+        kind = "a finite nonnegative number" if nonnegative else "a finite number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def as_array(a, ndim, shape=(), name="array"):

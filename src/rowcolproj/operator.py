@@ -1,14 +1,15 @@
-"""The scaled row/column-sum operator A(T) = (T e, T^T f) and its calculus.
+"""The scaled row/column-sum operator A(T) = (T e, T^T f) and its pseudoinverse.
 
 For weight vectors e in R^n and f in R^m the linear map
 
     A : R^(m x n) -> R^m x R^n,   T |-> (T e, T^T f)
 
 collects the e-weighted row sums and f-weighted column sums of T. This
-module provides A, its adjoint (y, x) |-> y e^T + f x^T, the closed-form
-Moore-Penrose inverse in all four degeneracy cases (e and/or f zero),
-and the orthogonal projections onto ran A and ran A*. With unit weights
-these are the classical row/column-sum maps.
+module provides A, the closed-form Moore-Penrose inverse A^+ in all
+four degeneracy cases (e and/or f zero), and the orthogonal projection
+onto ran A. A^+ A is the orthogonal projection onto ran A*, the
+matrices y e^T + f x^T. With unit weights these are the classical
+row/column-sum maps.
 
 Degeneracy (e = 0 or f = 0) is decided by exact entrywise zero, never
 by a norm tolerance: the case split is algebraic, and near-zero weights
@@ -76,9 +77,6 @@ class ScaledMarginalOperator:
         """Shape (m, n) of the matrices this operator acts on."""
         return (self.m, self.n)
 
-    def _check_matrix(self, T):
-        return as_matrix(T, shape=self.shape, name="T")
-
     def _check_pair(self, p):
         y = as_vector(p[0], dim=self.m, name="row_part")
         x = as_vector(p[1], dim=self.n, name="col_part")
@@ -86,16 +84,11 @@ class ScaledMarginalOperator:
 
     def apply(self, T):
         """A(T) = (T e, T^T f): e-weighted row sums and f-weighted column sums."""
-        return MarginalPair(*self._apply(self._check_matrix(T)))
+        return MarginalPair(*self._apply(as_matrix(T, shape=self.shape, name="T")))
 
     def _apply(self, T):
         """Unchecked A on a matrix or on each matrix of a (B, m, n) stack."""
         return T @ self.e, np.swapaxes(T, -1, -2) @ self.f
-
-    def adjoint_apply(self, p):
-        """A*(y, x) = y e^T + f x^T."""
-        y, x = self._check_pair(p)
-        return np.outer(y, self.e) + np.outer(self.f, x)
 
     def pinv_apply(self, p):
         """Moore-Penrose inverse A^+(y, x), by the exact four-case formula.
@@ -146,14 +139,6 @@ class ScaledMarginalOperator:
             return MarginalPair(y.copy(), np.zeros(self.n))
         coeff = (float(self.f @ y) - float(self.e @ x)) / (self.e_norm_sq + self.f_norm_sq)
         return MarginalPair(y - coeff * self.f, x + coeff * self.e)
-
-    def project_range_adjoint(self, T):
-        """Orthogonal projection of T onto ran A* = {y e^T + f x^T}, which is A^+ A."""
-        return self._pinv(*self._apply(self._check_matrix(T)))
-
-    def norm(self):
-        """Operator norm sqrt(|e|^2 + |f|^2)."""
-        return float(np.sqrt(self.e_norm_sq + self.f_norm_sq))
 
 
 def unit_operator(m, n):

@@ -50,7 +50,7 @@ import numpy as np
 
 from .affine import AffineMarginalSet
 from .box import HyperBox
-from .linalg import as_array, as_integer, as_matrix, frobenius_norm
+from .linalg import as_array, as_integer, as_matrix, check_finite, frobenius_norm
 
 # The one solver implementation; recorded in experiment summaries.
 BACKEND = "numpy"
@@ -76,8 +76,7 @@ class SolverConfig:
         if iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         object.__setattr__(self, "max_iterations", iterations)
-        if not np.isfinite(self.feasibility_tol) or self.feasibility_tol < 0:
-            raise ValueError("feasibility_tol must be finite and nonnegative")
+        check_finite(self.feasibility_tol, name="feasibility_tol", nonnegative=True)
 
 
 @dataclass

@@ -143,6 +143,13 @@ def nearest_integer_in_interval(x, lo, hi):
     return min(candidates, key=lambda z: (abs(x - z), -abs(z)))
 
 
+def in_box(box, T):
+    """T lies in the box: exact bounds, and integer entries when the box is integer."""
+    T = np.asarray(T)
+    inside = bool(np.all(T >= box.lower) and np.all(T <= box.upper))
+    return inside and (not box.integer_restricted or bool(np.all(T == np.round(T))))
+
+
 class Reference(NamedTuple):
     """A reference run: its trace, every iterate T_k and, for Dykstra, every
     box candidate A_{k+1} = P_A(T_k + R_k)."""

@@ -261,11 +261,13 @@ def test_solve_prints_the_distance_of_experiment_run_zero(alg, tmp_path, capsys)
     ("experiment", {"s": [1, 1], "r": [1, 1], "num_runs": "3"}, "num_runs must be an integer"),
     ("experiment", {"s": [1, 1], "r": [1, 1], "distance_tie_tol": -1},
      "distance_tie_tol must be a finite nonnegative number"),
+    ("experiment", {"s": [1, 1], "r": [1, 1], "feasibility_tol": "1e-9"},
+     "feasibility_tol must be a finite nonnegative number"),
     ("experiment", {"s": {"a": 1}, "r": [1, 1]}, "s must hold numbers"),
     ("project", {"r": [1, 1]}, "the config has no s"),
     ("solve", {"r": [1, 1]}, "the config has no s"),
 ], ids=["unknown-key", "json-list", "missing-s", "fractional-iterations", "string-runs",
-        "negative-tie-tol", "non-numeric-s", "project-missing-s", "solve-missing-s"])
+        "negative-tie-tol", "string-tol", "non-numeric-s", "project-missing-s", "solve-missing-s"])
 def test_bad_config_ends_with_one_line_error(command, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -324,19 +326,23 @@ def test_solve_draws_its_start_from_the_config_init_interval(tmp_path, capsys):
 @pytest.mark.parametrize("setting, solve_says", [
     ({"max_iterations": 3}, "no feasible point within 3 iterations"),
     ({"feasibility_tol": 5.0}, "feasible at iteration 10\n"),
+    ({"seed": 7}, "distance to start (spectral): 192.11458627808707\n"),
+    # run 0 of the integer case: DR cycles, only Dykstra is feasible (iteration 35)
+    ({"case": "integer"}, "no feasible point within 250 iterations"),
 ])
 def test_solve_takes_iterations_and_tolerance_from_the_config(setting, solve_says, tmp_path, capsys):
-    # without the config's values, solve runs to the default 250 iterations
-    # and 1e-9 tolerance and reports feasibility at iteration 11
+    # solve must be run 0 of experiment --runs 1 for every spec field the config
+    # sets; with the bundled config's values, --seed 5 is feasible at iteration 11
+    flags = [] if "seed" in setting else ["--seed", "5"]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"s": DEMO_ROW_SUMS.tolist(), "r": DEMO_COL_SUMS.tolist(),
                                   **setting}))
-    assert main(["experiment", "--config", str(config), "--runs", "1", "--seed", "5",
+    assert main(["experiment", "--config", str(config), "--runs", "1", *flags,
                  "--out-dir", str(tmp_path / "out")]) == 0
     header, row0 = (tmp_path / "out" / "runs.csv").read_text().splitlines()[:2]
     run0 = dict(zip(header.split(","), row0.split(",")))
     capsys.readouterr()
-    rc = main(["solve", "--config", str(config), "--seed", "5"])
+    rc = main(["solve", "--config", str(config), *flags])
     out = capsys.readouterr().out
     assert solve_says in out
     if run0["dr_converged"] == "true":
@@ -346,6 +352,6 @@ def test_solve_takes_iterations_and_tolerance_from_the_config(setting, solve_say
     else:
         assert rc == 1
     # the flags still override the config
-    assert main(["solve", "--config", str(config), "--seed", "5", "--iters", "250",
-                 "--tol", "1e-9"]) == 0
+    assert main(["solve", "--config", str(config), "--seed", "5", "--case", "convex",
+                 "--iters", "250", "--tol", "1e-9"]) == 0
     assert "feasible at iteration 11\n" in capsys.readouterr().out

@@ -23,7 +23,7 @@ from rowcolproj.linalg import frobenius_norm
 from rowcolproj.operator import unit_operator
 from rowcolproj.solvers import SolverConfig, run
 
-from _support import DEMO_COL_SUMS, DEMO_ROW_SUMS, reference_run, same_bits
+from _support import DEMO_COL_SUMS, DEMO_ROW_SUMS, in_box, reference_run, same_bits
 
 
 def small_spec(**kw):
@@ -44,7 +44,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         small_spec(max_iterations=0)
     for field, value in (("max_iterations", 2.5), ("num_runs", "3"), ("seed", 1.0),
-                         ("feasibility_tol", float("nan")), ("distance_tie_tol", -1e-15),
+                         ("feasibility_tol", float("nan")), ("feasibility_tol", "1e-9"),
+                         ("feasibility_tol", None), ("distance_tie_tol", -1e-15),
                          ("init_low", "-1"), ("init_high", float("inf"))):
         with pytest.raises(ValueError, match=field):
             small_spec(**{field: value})
@@ -116,7 +117,7 @@ def test_converged_matrices_reverify_independently():
             if res.solution is not None:
                 seen += 1
                 F = res.solution.astype(float)
-                assert box.contains(F)
+                assert in_box(box, F)
                 PA = box.project(F)
                 assert frobenius_norm(PA - affine_set.project(PA)) <= spec.feasibility_tol
                 assert np.array_equal(F.sum(axis=1), spec.s)
@@ -342,6 +343,13 @@ def test_emit_outputs_files(tmp_path):
     assert loaded["conventions"]["rounding_tie_rule"] == "half-away-from-zero"
     schema = json.loads((tmp_path / "out" / "schema.json").read_text())
     assert "runs.csv" in schema["files"]
+
+
+def test_emit_outputs_takes_a_string_directory(tmp_path):
+    spec = small_spec(num_runs=3, max_iterations=10)
+    records, summary = run_experiment(spec)
+    paths = emit_outputs(records, summary, str(tmp_path / "out"))
+    assert paths[0] == tmp_path / "out" / "runs.csv" and paths[0].exists()
 
 
 def test_emitted_outputs_byte_identical_for_same_spec(tmp_path):
