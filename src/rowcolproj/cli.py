@@ -18,7 +18,7 @@ from .affine import make_affine_set
 from .harness import ExperimentSpec, _build_problem, _fmt, draw_start, emit_outputs, run_experiment
 from .linalg import as_matrix, as_vector, spectral_norm
 from .operator import ScaledMarginalOperator
-from .solvers import SolverConfig, run
+from .solvers import run
 
 DEFAULT_CONFIG = "demo_4x5.json"
 
@@ -93,35 +93,25 @@ def _spec_from_args(args, **fixed):
 
 
 def cmd_project(args):
-    """Project a matrix file; each --spec only picks the weights (e, f) and the targets.
+    """Project a matrix file onto {X : X e = s, Xᵀ f = r} with the one closed-form projector.
 
-    unit-sums: unit weights, targets from the flags or config; general:
-    the given weights and targets; ghr: the given weights, targets
-    (gamma e, gamma f); bistochastic: unit weights, all-ones targets.
+    --col-weights gives e and --row-weights gives f (default: all ones);
+    the targets (s, r) come from --row-sums/--col-sums, else --config,
+    else the bundled instance. Romero's unit-sum set, the
+    Glunt-Hayden-Reams set and Khoury's bistochastic set are choices of
+    these flags.
     """
     T = read_matrix(args.input)
     m, n = T.shape
-    if args.spec in ("ghr", "bistochastic") and m != n:
-        raise ValueError(f"--spec {args.spec} needs a square matrix, got {m}x{n}")
-    e, f = np.ones(n), np.ones(m)
-    if args.spec in ("general", "ghr"):
-        if args.col_weights:
-            e = _parse_vector(args.col_weights, "col weights")
-        if args.row_weights:
-            f = _parse_vector(args.row_weights, "row weights")
-    if args.spec == "bistochastic":
-        s, r = np.ones(m), np.ones(n)
-    elif args.spec == "ghr":
-        s, r = args.gamma * e, args.gamma * f
-    else:
-        spec = _spec_from_args(args)
-        if (spec.m, spec.n) != (m, n):
-            raise ValueError(f"the targets imply shape {spec.m}x{spec.n} but the matrix is {m}x{n}")
-        s, r = spec.s, spec.r
+    e = _parse_vector(args.col_weights, "col weights") if args.col_weights else np.ones(n)
+    f = _parse_vector(args.row_weights, "row weights") if args.row_weights else np.ones(m)
+    spec = _spec_from_args(args)
+    if (spec.m, spec.n) != (m, n):
+        raise ValueError(f"the targets imply shape {spec.m}x{spec.n} but the matrix is {m}x{n}")
     op = ScaledMarginalOperator(e, f)
     if op.shape != T.shape:
         raise ValueError(f"the weights imply shape {op.m}x{op.n} but the matrix is {m}x{n}")
-    write_matrix(make_affine_set(op, s, r).project(T), args.output)
+    write_matrix(make_affine_set(op, spec.s, spec.r).project(T), args.output)
     return 0
 
 
@@ -136,8 +126,7 @@ def cmd_solve(args):
                              f"but the targets imply {spec.m}x{spec.n}")
     else:
         T0 = draw_start(spec, 0)
-    cfg = SolverConfig(algorithm=args.alg.upper(), max_iterations=spec.max_iterations,
-                       feasibility_tol=spec.feasibility_tol)
+    cfg = spec.solver_config(args.alg)
     trace = run(affine_set, box, T0, cfg)
     for k, delta in enumerate(trace.deltas):
         print(f"{k} {_fmt(delta)}")
@@ -186,15 +175,13 @@ def build_parser():
 
     p_proj = sub.add_parser("project", help="project a matrix file onto a constraint set")
     p_proj.add_argument("input", help="matrix file (first line 'm n', then m rows)")
-    p_proj.add_argument("--spec", choices=["general", "unit-sums", "ghr", "bistochastic"],
-                        default="unit-sums", help="which projection to apply")
-    p_proj.add_argument("--row-sums", help="target row sums, comma or space separated "
-                                           "(unit-sums/general)")
-    p_proj.add_argument("--col-sums", help="target column sums (unit-sums/general)")
-    p_proj.add_argument("--row-weights", help="row weight vector f (general/ghr)")
-    p_proj.add_argument("--col-weights", help="column weight vector e (general/ghr)")
-    p_proj.add_argument("--gamma", type=float, default=1.0, help="scale for the ghr spec")
-    p_proj.add_argument("--config", help="JSON config supplying default targets (unit-sums/general)")
+    p_proj.add_argument("--row-sums", help="target row sums s, comma or space separated "
+                                           "(default: the config's s)")
+    p_proj.add_argument("--col-sums", help="target column sums r (default: the config's r)")
+    p_proj.add_argument("--row-weights", help="row weight vector f (default: all ones)")
+    p_proj.add_argument("--col-weights", help="column weight vector e (default: all ones)")
+    p_proj.add_argument("--config", help="JSON config supplying the targets a flag does not set "
+                                         "(default: bundled 4x5 instance)")
     p_proj.add_argument("--output", help="write result here instead of stdout")
     p_proj.set_defaults(func=cmd_project)
 
@@ -221,11 +208,11 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; invalid targets, specs or configs exit with status 2."""
+    """Run one command; invalid input and unwritable outputs exit with status 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"rowcolproj {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ byte-identical regardless of worker scheduling.
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -122,6 +123,11 @@ class ExperimentSpec:
             raise ValueError(f"the config has no {' or '.join(missing)} (target row and column sums)")
         return cls(**merged)
 
+    def solver_config(self, algorithm):
+        """The SolverConfig of ``algorithm`` with this spec's iteration cap and tolerance."""
+        return SolverConfig(algorithm=algorithm, max_iterations=self.max_iterations,
+                            feasibility_tol=self.feasibility_tol)
+
 
 @dataclass
 class AlgorithmResult:
@@ -219,10 +225,8 @@ def _run_block(spec, affine_set, box, indices):
     """Solve the runs ``indices`` with one stacked engine call per algorithm."""
     starts = np.stack([draw_start(spec, i) for i in indices])
     results = {
-        key: _algorithm_results(spec, starts, run_batch(
-            affine_set, box, starts,
-            SolverConfig(algorithm=key, max_iterations=spec.max_iterations,
-                         feasibility_tol=spec.feasibility_tol)))
+        key: _algorithm_results(spec, starts, run_batch(affine_set, box, starts,
+                                                         spec.solver_config(key)))
         for key in ALGORITHMS
     }
     records = []
@@ -287,11 +291,7 @@ def _delta_statistics(records, spec):
 
 
 def _count_labels(records, attr):
-    counts = {}
-    for rec in records:
-        label = getattr(rec, attr)
-        counts[label] = counts.get(label, 0) + 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter(getattr(rec, attr) for rec in records).items()))
 
 
 def dedup_solutions(records):
@@ -321,22 +321,11 @@ def summarize(records, spec):
         DISPLAY_NAMES[key]: sum(1 for rec in records if rec.results[key].converged)
         for key in ALGORITHMS
     }
+    echo = {"m": spec.m, "n": spec.n, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
+    echo.update(s=spec.s.tolist(), r=spec.r.tolist())  # keeps the fields' key order
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "spec": {
-            "m": spec.m,
-            "n": spec.n,
-            "s": spec.s.tolist(),
-            "r": spec.r.tolist(),
-            "case": spec.case,
-            "num_runs": spec.num_runs,
-            "init_low": spec.init_low,
-            "init_high": spec.init_high,
-            "seed": int(spec.seed),
-            "max_iterations": spec.max_iterations,
-            "feasibility_tol": spec.feasibility_tol,
-            "distance_tie_tol": spec.distance_tie_tol,
-        },
+        "spec": echo,
         "backend": BACKEND,
         "conventions": {
             "rounding_tie_rule": ROUNDING_TIE_RULE,

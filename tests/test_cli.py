@@ -51,8 +51,7 @@ def test_read_matrix_errors(tmp_path):
 
 def test_project_unit_sums_cli(tmp_path, capsys):
     path = write_matrix_file(tmp_path / "zero.txt", np.zeros((4, 5)))
-    rc = main(["project", path, "--spec", "unit-sums",
-               "--row-sums", "32,43,33,23", "--col-sums", "24,18,37,27,25"])
+    rc = main(["project", path, "--row-sums", "32,43,33,23", "--col-sums", "24,18,37,27,25"])
     assert rc == 0
     out = parse_matrix_text(capsys.readouterr().out)
     expected = make_affine_set(unit_operator(4, 5), DEMO_ROW_SUMS, DEMO_COL_SUMS).project(np.zeros((4, 5)))
@@ -71,14 +70,12 @@ def test_project_defaults_to_bundled_targets(tmp_path, capsys):
 
 def test_project_general_spec_with_weights(tmp_path, capsys):
     path = write_matrix_file(tmp_path / "t.txt", np.ones((2, 2)))
-    rc = main(["project", path, "--spec", "general",
-               "--row-sums", "1,1", "--col-sums", "1,1",
+    rc = main(["project", path, "--row-sums", "1,1", "--col-sums", "1,1",
                "--row-weights", "1,2", "--col-weights", "3,4"])
     assert rc == 0
     out = parse_matrix_text(capsys.readouterr().out)
     assert out.shape == (2, 2)
-    rc = main(["project", path, "--spec", "general", "--row-sums", "1,1", "--col-sums", "1,1",
-               "--row-weights", "1,2,3"])
+    rc = main(["project", path, "--row-sums", "1,1", "--col-sums", "1,1", "--row-weights", "1,2,3"])
     assert rc == 2
     assert capsys.readouterr().err.endswith("the weights imply shape 3x2 but the matrix is 2x2\n")
 
@@ -86,7 +83,8 @@ def test_project_general_spec_with_weights(tmp_path, capsys):
 def test_project_bistochastic_cli(tmp_path, capsys):
     T = np.array([[1.0, 0.0], [0.0, 0.0]])
     path = write_matrix_file(tmp_path / "t.txt", T)
-    rc = main(["project", path, "--spec", "bistochastic"])
+    # Khoury's bistochastic set: unit weights, all-ones targets
+    rc = main(["project", path, "--row-sums", "1,1", "--col-sums", "1,1"])
     assert rc == 0
     out = parse_matrix_text(capsys.readouterr().out)
     assert np.max(np.abs(out - khoury_project(T))) <= 1e-15
@@ -94,13 +92,14 @@ def test_project_bistochastic_cli(tmp_path, capsys):
 
 def test_project_ghr_cli(tmp_path, capsys):
     path = write_matrix_file(tmp_path / "t.txt", 2.0 * np.eye(3))
-    rc = main(["project", path, "--spec", "ghr", "--gamma", "2.0"])
+    # Glunt-Hayden-Reams {X : X e = gamma e, X^T f = gamma f}: targets (gamma e, gamma f)
+    rc = main(["project", path, "--row-sums", "2,2,2", "--col-sums", "2,2,2"])
     assert rc == 0
     out = parse_matrix_text(capsys.readouterr().out)
     assert np.max(np.abs(out - 2.0 * np.eye(3))) <= 1e-12
     T = np.arange(9.0).reshape(3, 3)
     path = write_matrix_file(tmp_path / "t.txt", T)
-    rc = main(["project", path, "--spec", "ghr", "--gamma", "-0.5",
+    rc = main(["project", path, "--row-sums=-0.25,-1.5,-0.5", "--col-sums=-0.5,-1,0.5",
                "--row-weights", "1,2,-1", "--col-weights", "0.5,3,1"])
     assert rc == 0
     out = parse_matrix_text(capsys.readouterr().out)
@@ -114,23 +113,33 @@ def test_project_ghr_zero_weights_match_oracle(row_weights, col_weights, tmp_pat
     # zero weights are the formula's degenerate cases: only the other constraint is left
     T = np.arange(9.0).reshape(3, 3) - 4.0
     path = write_matrix_file(tmp_path / "t.txt", T)
-    rc = main(["project", path, "--spec", "ghr", "--gamma", "1.5",
-               "--row-weights", row_weights, "--col-weights", col_weights])
-    assert rc == 0
-    out = parse_matrix_text(capsys.readouterr().out)
     e = np.array([float(v) for v in col_weights.split(",")])
     f = np.array([float(v) for v in row_weights.split(",")])
+    rc = main(["project", path, "--row-weights", row_weights, "--col-weights", col_weights,
+               f"--row-sums={','.join(map(str, (1.5 * e).tolist()))}",
+               f"--col-sums={','.join(map(str, (1.5 * f).tolist()))}"])
+    assert rc == 0
+    out = parse_matrix_text(capsys.readouterr().out)
     expected = oracle_project(ScaledMarginalOperator(e, f), 1.5 * e, 1.5 * f, T)
     assert np.max(np.abs(out - expected)) <= 1e-12
 
 
-def test_bistochastic_rejects_non_square(tmp_path, capsys):
-    path = write_matrix_file(tmp_path / "t.txt", np.ones((2, 3)))
-    for spec in ("bistochastic", "ghr"):
-        assert main(["project", path, "--spec", spec]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"rowcolproj project: error: --spec {spec} needs a square matrix, got 2x3\n"
+@pytest.mark.parametrize("flags", [
+    ["--row-weights", "1,2,3,4"],
+    ["--col-weights", "1,2,1,2,1"],
+    ["--row-sums", "1,2,3,4"],
+    ["--col-sums", "1,1,1,1,1"],
+    ["--config", "{config}"],
+], ids=["row-weights", "col-weights", "row-sums", "col-sums", "config"])
+def test_every_project_flag_is_read(flags, tmp_path, capsys):
+    T = np.arange(20.0).reshape(4, 5)
+    path = write_matrix_file(tmp_path / "t.txt", T)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"s": [5, 6, 7, 8], "r": [1, 2, 3, 4, 5]}))
+    assert main(["project", path]) == 0
+    plain = capsys.readouterr().out
+    rc = main(["project", path, *(flag.format(config=config) for flag in flags)])
+    assert rc == 0 and capsys.readouterr().out != plain
 
 
 def test_project_output_file(tmp_path):
@@ -218,9 +227,17 @@ def test_console_entry_point_help():
     (["solve", "--row-sums", "1,x", "--col-sums", "1"], "row sums: could not convert string"),
     (["experiment", "--jobs", "0"], "jobs must be >= 1, got 0"),
     (["experiment", "--jobs", "-3"], "jobs must be >= 1, got -3"),
+    # output paths that cannot be written
+    (["experiment", "--runs", "2", "--out-dir", "{tmp}/file"], "File exists"),
+    (["project", "{tmp}/t.txt", "--output", "{tmp}/missing/x.txt"], "No such file or directory"),
 ])
 def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys):
-    rc = main(argv + (["--out-dir", str(tmp_path)] if argv[0] == "experiment" else []))
+    (tmp_path / "file").write_text("")
+    write_matrix_file(tmp_path / "t.txt", np.zeros((4, 5)))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if argv[0] == "experiment" and "--out-dir" not in argv:
+        argv += ["--out-dir", str(tmp_path)]
+    rc = main(argv)
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -360,3 +360,16 @@ def test_emitted_outputs_byte_identical_for_same_spec(tmp_path):
     emit_outputs(rec2, sum2, tmp_path / "b")
     for name in ("runs.csv", "summary.json", "deltas.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_summary_spec_echo_rebuilds_the_experiment(tmp_path):
+    # from_config ignores the echo's m and n, so summary.json's "spec" is a config
+    spec = small_spec(case="integer", num_runs=12, init_low=-20.0, init_high=30.0, seed=11,
+                      max_iterations=60, feasibility_tol=1e-8, distance_tie_tol=1e-12)
+    emit_outputs(*run_experiment(spec), tmp_path / "a")
+    echo = json.loads((tmp_path / "a" / "summary.json").read_text())["spec"]
+    assert list(echo) == ["m", "n", "s", "r", "case", "num_runs", "init_low", "init_high",
+                          "seed", "max_iterations", "feasibility_tol", "distance_tie_tol"]
+    emit_outputs(*run_experiment(ExperimentSpec.from_config(echo)), tmp_path / "b")
+    for name in ("runs.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
