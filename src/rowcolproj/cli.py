@@ -85,9 +85,9 @@ def _spec_from_args(args, **fixed):
     (None) keeps the config's value."""
     flags = vars(args)
     overrides = {name: value for name, value in flags.items() if name in SPEC_FIELDS}
-    if flags.get("row_sums"):
+    if flags.get("row_sums") is not None:
         overrides["s"] = _parse_vector(flags["row_sums"], "row sums")
-    if flags.get("col_sums"):
+    if flags.get("col_sums") is not None:
         overrides["r"] = _parse_vector(flags["col_sums"], "column sums")
     return ExperimentSpec.from_config(load_config(args.config), **overrides, **fixed)
 
@@ -103,8 +103,8 @@ def cmd_project(args):
     """
     T = read_matrix(args.input)
     m, n = T.shape
-    e = _parse_vector(args.col_weights, "col weights") if args.col_weights else np.ones(n)
-    f = _parse_vector(args.row_weights, "row weights") if args.row_weights else np.ones(m)
+    e = np.ones(n) if args.col_weights is None else _parse_vector(args.col_weights, "col weights")
+    f = np.ones(m) if args.row_weights is None else _parse_vector(args.row_weights, "row weights")
     spec = _spec_from_args(args)
     if (spec.m, spec.n) != (m, n):
         raise ValueError(f"the targets imply shape {spec.m}x{spec.n} but the matrix is {m}x{n}")
@@ -119,7 +119,7 @@ def cmd_solve(args):
     """One run from --input, or from the start that run 0 of the same experiment draws."""
     spec = _spec_from_args(args, num_runs=1)
     affine_set, box = _build_problem(spec.s, spec.r, spec.case)
-    if args.input:
+    if args.input is not None:
         T0 = read_matrix(args.input)
         if T0.shape != affine_set.shape:
             raise ValueError(f"the start matrix is {T0.shape[0]}x{T0.shape[1]} "
@@ -142,6 +142,7 @@ def cmd_solve(args):
 
 def cmd_experiment(args):
     spec = _spec_from_args(args)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # fail before the batch, not after
     records, summary = run_experiment(spec, jobs=args.jobs)
     paths = emit_outputs(records, summary, args.out_dir)
     print(f"backend: {summary['backend']}")

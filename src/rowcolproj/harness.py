@@ -12,8 +12,9 @@ found matrices for exact deduplication.
 Randomness: run ``i`` uses numpy's PCG64 seeded with
 ``SeedSequence(seed, spawn_key=(i,))``, so each run has an independent
 substream and changing ``num_runs`` never reshuffles earlier runs.
-Results are sorted by run index before emission, which keeps output
-byte-identical regardless of worker scheduling.
+The run indices are cut into contiguous blocks, solved serially or by
+a process pool, and joined in block order, so the output is
+byte-identical whatever the blocking, ``jobs`` or worker scheduling.
 """
 
 import json
@@ -21,6 +22,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -170,18 +172,6 @@ def _order_label(entries, tie_tol):
     return "".join(parts)
 
 
-def _classify(record, spec):
-    feas = []
-    dist = []
-    for key in ALGORITHMS:
-        res = record.results[key]
-        if res.converged:
-            feas.append((DISPLAY_NAMES[key], res.iterations))
-            dist.append((DISPLAY_NAMES[key], res.distance))
-    record.feasibility_order = _order_label(feas, 0)
-    record.distance_order = _order_label(dist, spec.distance_tie_tol)
-
-
 def _build_problem(s, r, case):
     """Affine set for targets (s, r) and the box built from their range projection.
 
@@ -231,39 +221,40 @@ def _run_block(spec, affine_set, box, indices):
     }
     records = []
     for pos, run_index in enumerate(indices):
-        record = RunRecord(run_index=run_index,
-                           results={key: results[key][pos] for key in ALGORITHMS})
-        _classify(record, spec)
-        records.append(record)
-    return records
-
-
-def _run_chunk(spec, indices):
-    """Solve the runs ``indices`` in blocks of at most BLOCK_ENTRIES start entries."""
-    affine_set, box = _build_problem(spec.s, spec.r, spec.case)
-    size = max(1, BLOCK_ENTRIES // (spec.m * spec.n))
-    records = []
-    for lo in range(0, len(indices), size):
-        records += _run_block(spec, affine_set, box, indices[lo:lo + size])
+        run_results = {key: results[key][pos] for key in ALGORITHMS}
+        converged = [(DISPLAY_NAMES[key], res) for key, res in run_results.items() if res.converged]
+        records.append(RunRecord(
+            run_index=run_index, results=run_results,
+            feasibility_order=_order_label([(name, res.iterations) for name, res in converged], 0),
+            distance_order=_order_label([(name, res.distance) for name, res in converged],
+                                        spec.distance_tie_tol)))
     return records
 
 
 def run_experiment(spec, jobs=1):
-    """Execute the batch in at most ``jobs`` worker processes, and never more
-    than the CPU count; returns (records sorted by run index, summary dict)."""
+    """Execute the batch; returns (records in run-index order, summary dict).
+
+    The problem is built once. The run indices are cut into contiguous
+    blocks of at most BLOCK_ENTRIES start entries and at most
+    ceil(num_runs / workers) runs; each block is one stacked engine call
+    per algorithm. With ``jobs`` > 1 the blocks go to a pool of at most
+    ``jobs`` worker processes, and never more than the CPU count.
+    """
     jobs = as_integer(jobs, name="jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, os.cpu_count() or 1, spec.num_runs)
-    indices = list(range(spec.num_runs))
+    affine_set, box = _build_problem(spec.s, spec.r, spec.case)
+    runs = range(spec.num_runs)
+    size = min(max(1, BLOCK_ENTRIES // (spec.m * spec.n)), -(-len(runs) // workers))
+    blocks = [runs[lo:lo + size] for lo in range(0, len(runs), size)]
+    solve = partial(_run_block, spec, affine_set, box)
     if workers == 1:
-        records = _run_chunk(spec, indices)
+        parts = list(map(solve, blocks))
     else:
-        chunks = [indices[k::workers] for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_run_chunk, [spec] * len(chunks), chunks)
-            records = [rec for part in parts for rec in part]
-    records.sort(key=lambda rec: rec.run_index)
+            parts = list(pool.map(solve, blocks))
+    records = [rec for part in parts for rec in part]
     return records, summarize(records, spec)
 
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from rowcolproj import cli
 from rowcolproj.affine import make_affine_set
 from rowcolproj.cli import format_matrix, main, read_matrix
 from rowcolproj.operator import ScaledMarginalOperator, unit_operator
@@ -230,6 +231,11 @@ def test_console_entry_point_help():
     # output paths that cannot be written
     (["experiment", "--runs", "2", "--out-dir", "{tmp}/file"], "File exists"),
     (["project", "{tmp}/t.txt", "--output", "{tmp}/missing/x.txt"], "No such file or directory"),
+    # an empty vector or path is refused, not read as an unset flag
+    (["project", "{tmp}/t.txt", "--row-weights", ""], "row weights must be a nonempty"),
+    (["project", "{tmp}/t.txt", "--row-sums", ""], "row sums must be a nonempty"),
+    (["solve", "--col-sums", ""], "column sums must be a nonempty"),
+    (["solve", "--input", ""], "cannot read matrix file"),
 ])
 def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys):
     (tmp_path / "file").write_text("")
@@ -243,6 +249,20 @@ def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys)
     assert captured.out == ""
     assert captured.err.startswith(f"rowcolproj {argv[0]}: error: ")
     assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_unmakeable_out_dir_fails_before_the_batch(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the batch ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    (tmp_path / "file").write_text("")
+    rc = main(["experiment", "--case", "integer", "--out-dir", str(tmp_path / "file" / "sub")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rowcolproj experiment: error: ")
+    assert "Not a directory" in captured.err and captured.err.count("\n") == 1
 
 
 def test_inconsistent_targets_error_names_the_range_projection(tmp_path, capsys):

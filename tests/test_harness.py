@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -197,9 +198,11 @@ def test_parallel_jobs_equal_sequential():
 
 def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(monkeypatch):
     started = []
+    mapped = []
 
     class SerialPool:
-        """Stands in for the process pool: records its size, maps in this process."""
+        """Stands in for the process pool: records its size and the blocks
+        it is given, maps in this process."""
 
         def __init__(self, max_workers):
             started.append(max_workers)
@@ -211,6 +214,8 @@ def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
+            iterables = [list(it) for it in iterables]
+            mapped.append([list(block) for block in iterables[-1]])
             return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
@@ -220,6 +225,12 @@ def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(monkeypatch):
     for jobs, workers in ((2, 2), (3, 3), (1000, 3)):
         pooled, pooled_summary = run_experiment(spec, jobs=jobs)
         assert started.pop() == workers
+        blocks = mapped.pop()
+        # contiguous blocks that cover the runs once, in order, one per worker
+        assert [i for block in blocks for i in block] == list(range(spec.num_runs))
+        assert all(block == list(range(block[0], block[0] + len(block))) for block in blocks)
+        assert len(blocks) == workers
+        assert max(map(len, blocks)) == math.ceil(spec.num_runs / workers)
         assert pooled_summary == summary
         for a, b in zip(records, pooled):
             assert a.run_index == b.run_index
@@ -228,6 +239,16 @@ def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(monkeypatch):
                 assert same_bits(a.results[key].deltas, b.results[key].deltas)
     run_experiment(small_spec(num_runs=2, max_iterations=5), jobs=1000)
     assert started.pop() == 2
+    assert mapped.pop() == [[0], [1]]
+    # the entry cap splits a worker's share further
+    monkeypatch.setattr(harness, "BLOCK_ENTRIES", 2 * spec.m * spec.n)
+    run_experiment(spec, jobs=2)
+    assert started.pop() == 2
+    assert mapped.pop() == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+    # targets without a box fail in this process, before a pool starts
+    with pytest.raises(ValueError, match="range-projected"):
+        run_experiment(ExperimentSpec(s=[0.0, 10.0], r=[0.0, 0.0], num_runs=4), jobs=2)
+    assert started == [] and mapped == []
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     run_experiment(spec, jobs=4)
     assert started == []
