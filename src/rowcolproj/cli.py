@@ -142,6 +142,7 @@ def cmd_solve(args):
 
 def cmd_experiment(args):
     spec = _spec_from_args(args)
+    _build_problem(spec.s, spec.r, spec.case)  # bad targets fail before --out-dir is made
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # fail before the batch, not after
     records, summary = run_experiment(spec, jobs=args.jobs)
     paths = emit_outputs(records, summary, args.out_dir)

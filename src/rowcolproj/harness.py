@@ -39,12 +39,12 @@ from .solvers import ALGORITHMS, BACKEND, SolverConfig, run, run_batch  # noqa: 
 SCHEMA_VERSION = 2
 
 # Float64 entries per engine call's stack of starts (2 MiB). The engine
-# keeps several stacks of that size alive: T, R, both projections and the
-# update's temporaries, and for an integer box the saved state of its
-# repeated-state exit, one more stack (T) for DR and MAP and two (T, R)
-# for Dykstra. tracemalloc peaks on 128 starts of 32x64: 8 stacks convex,
-# 9 for integer DR, 12 for integer Dykstra. So this bounds a batch's
-# memory whatever num_runs is; results do not depend on the blocking.
+# keeps several stacks of that size alive: its state (T, and R for
+# Dykstra), both projections and the update's temporaries, and for an
+# integer box a saved copy of the state for its repeated-state exit.
+# tracemalloc peaks on 128 starts of 32x64, in stacks: convex 7 DR, 5 MAP
+# and 8 Dykstra; integer 8 DR, 7 MAP and 12 Dykstra. So this bounds a
+# batch's memory whatever num_runs is; results do not depend on the blocking.
 BLOCK_ENTRIES = 2 ** 18
 
 DISPLAY_NAMES = {"DR": "DR", "MAP": "MAP", "DYK": "Dyk"}

@@ -16,18 +16,20 @@ import numpy as np
 
 
 def as_integer(value, name="value"):
-    """``value`` as an int; a float such as 2.5 or a string is refused, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a float such as 2.5, a bool or a string is refused, not truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_finite(value, name="value", nonnegative=False):
     """Refuse ``value`` unless it is a finite real number (and >= 0 when
-    ``nonnegative``): a string, None or a non-finite value raises a ValueError."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and (value >= 0 or not nonnegative)):
+    ``nonnegative``): a string, a bool, None or a non-finite value raises a ValueError."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and (value >= 0 or not nonnegative)):
         kind = "a finite nonnegative number" if nonnegative else "a finite number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 

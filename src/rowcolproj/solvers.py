@@ -2,7 +2,8 @@
 
 All three schemes are driven by the same pair of projectors: the box
 projection P_A and the affine projection P_B onto prescribed scaled
-row/column sums. Updates, for a current iterate T_k:
+row/column sums. A start's state is (T_k,) for DR and MAP and
+(T_k, R_k) for Dykstra; the updates are:
 
     DR:   T_{k+1} = T_k - P_A(T_k) + P_B(2 P_A(T_k) - T_k)
     MAP:  T_{k+1} = P_B(P_A(T_k))
@@ -17,20 +18,21 @@ is deliberately computed from P_A(T_k), not from A_{k+1}, so all three
 algorithms share one criterion.
 
 In the integer-restricted case the same updates run unchanged with the
-rounding box projection, and feasibility additionally requires exact
-integer entries whose row/column sums match the projected targets in
-integer arithmetic; this separates float noise from true feasibility.
+rounding box projection, and feasibility additionally requires the row
+and column sums of P_A(T_k) to equal the range-projected targets
+(s_bar, r_bar) exactly, which separates float noise from true
+feasibility; a fractional target is never met.
 
-Integer runs also stop at their first repeated state (T_k, and R_k for
-Dykstra). Each start's state is saved at k = 1, 2, 4, 8, ... and
-compared bit for bit with every later state; the rounding box makes
-exact repeats common (integer MAP settles on a fixed point, DR enters
-short cycles). The comparison runs after delta_k, in the same exit step
-as the feasibility check: a state equal to a saved one has the same
-P_A and delta, so it is never feasible when the saved one was not. The
-update is a fixed function of the state, so a state at iteration k
-equal to the one saved at iteration j repeats with period p = k - j for
-ever, and none of delta_j, ..., delta_{k-1} passed: the run can never
+Integer runs also stop at their first repeated state. Each start's
+state is saved at k = 1, 2, 4, 8, ... and compared bit for bit with
+every later state; the rounding box makes exact repeats common
+(integer MAP settles on a fixed point, DR enters short cycles). The
+comparison runs after delta_k, in the same exit step as the
+feasibility check: a state equal to a saved one has the same P_A and
+delta, so it is never feasible when the saved one was not. The update
+is a fixed function of the state, so a state at iteration k equal to
+the one saved at iteration j repeats with period p = k - j for ever,
+and none of delta_j, ..., delta_{k-1} passed: the run can never
 converge. The engine marks it not converged and fills its deltas up to
 max_iterations with the periodic continuation, so every trace is bit
 for bit the one a full-length run gives.
@@ -90,25 +92,15 @@ class SolverTrace:
     converged: bool
 
 
-def _integer_goals(affine_set):
-    """Rounded projected targets for the exact integer feasibility check."""
-    s_bar, r_bar = affine_set.projected_target
-    s_goal = np.round(s_bar)
-    r_goal = np.round(r_bar)
-    integral = bool(np.all(s_bar == s_goal) and np.all(r_bar == r_goal))
-    return s_goal, r_goal, integral
+def _exact_integer_sums(P, s_bar, r_bar):
+    """Per matrix of the integer-box stack P: row sums s_bar and column sums r_bar.
 
-
-def _exact_integer_sums(P, s_goal, r_goal):
-    """Per matrix of the integer-box stack P: integer entries with the goal sums.
-
-    _check_box keeps every row and column sum of an integer box below
-    2^53, so these float sums are exact whatever their order.
+    The entries are integers and _check_box keeps their sums below 2^53,
+    so these float sums are exact and never equal a fractional target.
     """
-    integral = np.all(np.floor(P) == P, axis=(1, 2))
-    rows = np.all(P.sum(axis=2) == s_goal, axis=1)
-    cols = np.all(P.sum(axis=1) == r_goal, axis=1)
-    return integral & rows & cols
+    rows = np.all(P.sum(axis=2) == s_bar, axis=1)
+    cols = np.all(P.sum(axis=1) == r_bar, axis=1)
+    return rows & cols
 
 
 def _repeated(state, saved):
@@ -128,22 +120,21 @@ def _solve(affine_set, box, T, cfg):
     stop = np.full(size, last)          # iteration of each start's final delta
     found = [None] * size
     active = np.arange(size)            # start index of each matrix in the stack
-    R = np.zeros_like(T)
-    width = 2 if alg == "DYK" else 1    # the state is T, or (T, R) for Dykstra
+    state = (T, np.zeros_like(T)) if alg == "DYK" else (T,)  # (T_k,), or (T_k, R_k)
     saved, saved_at = (), 0             # each active start's state at iteration saved_at
-    s_goal, r_goal, targets_integral = _integer_goals(affine_set)
+    s_bar, r_bar = affine_set.projected_target
     for k in range(last + 1):
-        PA = box._project(T)
+        PA = box._project(state[0])
         PB = affine_set._project(PA)
         delta = frobenius_norm(PA - PB)
         deltas[active, k] = delta
         feasible = delta <= cfg.feasibility_tol
         if box.integer_restricted and feasible.any():
-            feasible[feasible] = targets_integral & _exact_integer_sums(PA[feasible], s_goal, r_goal)
+            feasible[feasible] = _exact_integer_sums(PA[feasible], s_bar, r_bar)
         done = feasible
         if saved:
             # a repeated state has the P_A and delta of the saved one, so it is never feasible
-            cycled = _repeated((T, R)[:width], saved)
+            cycled = _repeated(state, saved)
             if cycled.any():
                 # state k equals state saved_at, so iteration t >= k repeats source[t - k]
                 source = saved_at + (np.arange(k, last + 1) - saved_at) % (k - saved_at)
@@ -157,21 +148,21 @@ def _solve(affine_set, box, T, cfg):
             if done.all():
                 break
             keep = ~done
-            active, T, R, PA, PB = active[keep], T[keep], R[keep], PA[keep], PB[keep]
+            active, PA, PB = active[keep], PA[keep], PB[keep]
+            state = tuple(S[keep] for S in state)
             saved = tuple(S[keep] for S in saved)
         if k == last:
             break
         if box.integer_restricted and k > 0 and k & (k - 1) == 0:
-            saved, saved_at = tuple(S.copy() for S in (T, R)[:width]), k
+            saved, saved_at = tuple(S.copy() for S in state), k
         if alg == "DR":
-            T = T - PA + affine_set._project(2.0 * PA - T)
+            state = (state[0] - PA + affine_set._project(2.0 * PA - state[0]),)
         elif alg == "MAP":
-            T = PB
+            state = (PB,)
         else:
-            W = T + R
+            W = state[0] + state[1]
             AK = box._project(W)
-            R = W - AK
-            T = affine_set._project(AK)
+            state = (affine_set._project(AK), W - AK)
     return [
         SolverTrace(
             algorithm=alg,

@@ -277,6 +277,7 @@ def test_inconsistent_targets_error_names_the_range_projection(tmp_path, capsys)
     rc = main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert "s_bar = (-2.5, 7.5)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("alg", ["dr", "map", "dyk"])
@@ -301,10 +302,16 @@ def test_solve_prints_the_distance_of_experiment_run_zero(alg, tmp_path, capsys)
     ("experiment", {"s": [1, 1], "r": [1, 1], "feasibility_tol": "1e-9"},
      "feasibility_tol must be a finite nonnegative number"),
     ("experiment", {"s": {"a": 1}, "r": [1, 1]}, "s must hold numbers"),
+    ("experiment", {"s": [1, 1], "r": [1, 1], "num_runs": True}, "num_runs must be an integer"),
+    ("experiment", {"s": [1, 1], "r": [1, 1], "max_iterations": True},
+     "max_iterations must be an integer"),
+    ("experiment", {"s": [1, 1], "r": [1, 1], "feasibility_tol": True},
+     "feasibility_tol must be a finite nonnegative number"),
     ("project", {"r": [1, 1]}, "the config has no s"),
     ("solve", {"r": [1, 1]}, "the config has no s"),
 ], ids=["unknown-key", "json-list", "missing-s", "fractional-iterations", "string-runs",
-        "negative-tie-tol", "string-tol", "non-numeric-s", "project-missing-s", "solve-missing-s"])
+        "negative-tie-tol", "string-tol", "non-numeric-s", "bool-runs", "bool-iterations",
+        "bool-tol", "project-missing-s", "solve-missing-s"])
 def test_bad_config_ends_with_one_line_error(command, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -47,7 +47,8 @@ def test_spec_validation():
     for field, value in (("max_iterations", 2.5), ("num_runs", "3"), ("seed", 1.0),
                          ("feasibility_tol", float("nan")), ("feasibility_tol", "1e-9"),
                          ("feasibility_tol", None), ("distance_tie_tol", -1e-15),
-                         ("init_low", "-1"), ("init_high", float("inf"))):
+                         ("init_low", "-1"), ("init_high", float("inf")), ("num_runs", True),
+                         ("seed", False), ("feasibility_tol", True), ("init_high", True)):
         with pytest.raises(ValueError, match=field):
             small_spec(**{field: value})
     assert small_spec(num_runs=np.int64(7)).num_runs == 7

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,13 +43,13 @@ def test_config_validation():
         SolverConfig(algorithm="newton")
     with pytest.raises(ValueError):
         SolverConfig(algorithm="DR", max_iterations=0)
-    for value in (-1.0, float("nan"), "1e-9", None):
+    for value in (-1.0, float("nan"), "1e-9", None, True):
         with pytest.raises(ValueError, match="feasibility_tol must be a finite nonnegative number"):
             SolverConfig(algorithm="DR", feasibility_tol=value)
     assert SolverConfig(algorithm="dyk").algorithm == "DYK"
 
 
-@pytest.mark.parametrize("value", [2.5, "3", 3.0])
+@pytest.mark.parametrize("value", [2.5, "3", 3.0, True])
 def test_max_iterations_must_be_an_integer(value):
     with pytest.raises(ValueError, match="max_iterations must be an integer"):
         SolverConfig(algorithm="DR", max_iterations=value)
@@ -180,6 +182,48 @@ def test_integer_feasible_matrices_are_exact():
                 assert np.array_equal(F.sum(axis=0), DEMO_COL_SUMS)
                 assert trace.deltas[trace.first_feasible_iteration] == 0.0
     assert found > 0
+
+
+def test_integer_sums_are_judged_against_the_range_projected_targets():
+    # Inconsistent raw targets whose range projection is integral: every
+    # found matrix meets (s_bar, r_bar) = (s - 1, r + 1), never (s, r).
+    s = np.array([35.0, 45.0, 34.0, 26.0])
+    affine_set = make_affine_set(unit_operator(4, 5), s, DEMO_COL_SUMS)
+    s_bar, r_bar = affine_set.projected_target
+    assert np.array_equal(s_bar, s - 1.0) and np.array_equal(r_bar, DEMO_COL_SUMS + 1.0)
+    box = make_box(s_bar, r_bar, integer_restricted=True)
+    found = 0
+    for seed in range(4):
+        T0 = np.random.default_rng(seed).uniform(-100.0, 100.0, size=(4, 5))
+        for alg in ALGS:
+            trace = pinned_reference(affine_set, box, T0, SolverConfig(algorithm=alg)).trace
+            if trace.converged:
+                found += 1
+                F = trace.first_feasible_matrix
+                assert np.array_equal(F.sum(axis=1), s_bar)
+                assert np.array_equal(F.sum(axis=0), r_bar)
+    assert found > 0
+
+
+def test_dr_and_map_keep_no_dykstra_correction():
+    # The state is (T,) for DR and MAP and (T, R) for Dykstra, so their peak
+    # memory lies at least half a stack of starts below Dykstra's.
+    m, n = 32, 64
+    rng = np.random.default_rng(74)
+    M = rng.integers(0, 10, size=(m, n)).astype(float)
+    affine_set = make_affine_set(unit_operator(m, n), M.sum(axis=1), M.sum(axis=0))
+    box = make_box(M.sum(axis=1), M.sum(axis=0))
+    starts = rng.uniform(-100.0, 100.0, size=(16, m, n))
+    peaks = {}
+    for alg in ALGS:
+        tracemalloc.start()
+        try:
+            run_batch(affine_set, box, starts, SolverConfig(algorithm=alg, max_iterations=20))
+            _, peaks[alg] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks["DR"] <= peaks["DYK"] - starts.nbytes / 2
+    assert peaks["MAP"] <= peaks["DYK"] - starts.nbytes / 2
 
 
 def test_integer_map_mostly_stalls():
