@@ -30,11 +30,11 @@ import numpy as np
 
 from .affine import make_affine_set
 from .box import ROUNDING_TIE_RULE, make_box
-from .linalg import as_integer, as_vector, check_finite, spectral_norm
+from .linalg import as_integer, as_vector, check_finite, frozen_copy, spectral_norm
 from .operator import unit_operator
 # ``run`` is not called here; the name stays so that tools which wrap
 # ``harness.run`` at run time (perfbench/tracing.py) still find it.
-from .solvers import ALGORITHMS, BACKEND, SolverConfig, run, run_batch  # noqa: F401
+from .solvers import ALGORITHMS, BACKEND, SolverConfig, _check_box, run, run_batch  # noqa: F401
 
 SCHEMA_VERSION = 2
 
@@ -43,7 +43,7 @@ SCHEMA_VERSION = 2
 # Dykstra), both projections and the update's temporaries, and for an
 # integer box a saved copy of the state for its repeated-state exit.
 # tracemalloc peaks on 128 starts of 32x64, in stacks: convex 7 DR, 5 MAP
-# and 8 Dykstra; integer 8 DR, 7 MAP and 12 Dykstra. So this bounds a
+# and 8 Dykstra; integer 8 DR, 6 MAP and 10 Dykstra. So this bounds a
 # batch's memory whatever num_runs is; results do not depend on the blocking.
 BLOCK_ENTRIES = 2 ** 18
 
@@ -71,12 +71,8 @@ class ExperimentSpec:
     distance_tie_tol: float = 1e-15
 
     def __post_init__(self):
-        s = as_vector(self.s, name="s")
-        r = as_vector(self.r, name="r")
-        s.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", frozen_copy(as_vector(self.s, name="s")))
+        object.__setattr__(self, "r", frozen_copy(as_vector(self.r, name="r")))
         if self.case not in ("convex", "integer"):
             raise ValueError(f"case must be 'convex' or 'integer', got {self.case!r}")
         for name in ("num_runs", "seed", "max_iterations"):
@@ -187,6 +183,7 @@ def _build_problem(s, r, case):
             f"nonnegative ones: s_bar = ({', '.join(map(_fmt, s_bar))}), "
             f"r_bar = ({', '.join(map(_fmt, r_bar))})")
     box = make_box(s_bar, r_bar, integer_restricted=(case == "integer"))
+    _check_box(affine_set, box)  # before any caller writes a file or starts a worker
     return affine_set, box
 
 

@@ -34,9 +34,18 @@ def check_finite(value, name="value", nonnegative=False):
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+def _holds_bool(a):
+    """``a`` is a bool, a bool array, or a (nested) list or tuple holding one."""
+    if isinstance(a, (list, tuple)):
+        return any(map(_holds_bool, a))
+    return np.asarray(a).dtype == np.bool_
+
+
 def as_array(a, ndim, shape=(), name="array"):
     """Validate and return ``a`` as a nonempty, finite float64 array with
     ``ndim`` axes, the last ``len(shape)`` of which have the lengths ``shape``."""
+    if _holds_bool(a):
+        raise ValueError(f"{name} must hold numbers, not booleans")
     try:
         arr = np.asarray(a, dtype=np.float64)
     except TypeError as exc:
@@ -49,6 +58,13 @@ def as_array(a, ndim, shape=(), name="array"):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def frozen_copy(arr):
+    """A read-only float64 copy of ``arr``."""
+    out = np.array(arr, dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
 def as_vector(v, dim=None, name="vector"):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, frozen_copy
 
 
 class MarginalPair(NamedTuple):
@@ -37,12 +37,6 @@ class MarginalPair(NamedTuple):
         return np.concatenate([self.row_part, self.col_part])
 
 
-def _frozen(arr):
-    out = np.array(arr, dtype=np.float64)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class ScaledMarginalOperator:
     """Immutable weight pair (e, f) with cached squared norms and zero flags."""
@@ -55,8 +49,8 @@ class ScaledMarginalOperator:
     f_is_zero: bool = field(init=False)
 
     def __post_init__(self):
-        e = _frozen(as_vector(self.e, name="e"))
-        f = _frozen(as_vector(self.f, name="f"))
+        e = frozen_copy(as_vector(self.e, name="e"))
+        f = frozen_copy(as_vector(self.f, name="f"))
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "e_norm_sq", float(e @ e))

@@ -163,6 +163,7 @@ def _solve(affine_set, box, T, cfg):
             W = state[0] + state[1]
             AK = box._project(W)
             state = (affine_set._project(AK), W - AK)
+            del W, AK  # not alive through the next iteration's projections
     return [
         SolverTrace(
             algorithm=alg,
@@ -180,7 +181,7 @@ def _check_box(affine_set, box):
         raise ValueError(f"box shape {box.shape} does not match constraint shape {affine_set.shape}")
     if box.integer_restricted:
         # the exact integer-sum check needs every partial sum of box entries below 2^53
-        reach = np.maximum(np.abs(box.int_lower), np.abs(box.int_upper))
+        reach = np.maximum(np.abs(box.lower), np.abs(box.upper))
         if max(reach.sum(axis=1).max(), reach.sum(axis=0).max()) >= EXACT_INTEGER_LIMIT:
             raise ValueError("integer-restricted box is too large: a row or column sum "
                              "of its entries could reach 2^53, beyond exact float64 integers")

@@ -4,6 +4,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from rowcolproj.box import round_half_away
 from rowcolproj.operator import MarginalPair, ScaledMarginalOperator
 from rowcolproj.solvers import SolverTrace
 
@@ -141,6 +142,14 @@ def nearest_integer_in_interval(x, lo, hi):
     """Enumerate the integer interval; nearest to x, ties away from zero."""
     candidates = range(int(np.ceil(lo)), int(np.floor(hi)) + 1)
     return min(candidates, key=lambda z: (abs(x - z), -abs(z)))
+
+
+def two_clip_project(lower, upper, T):
+    """The integer box projection as clamp, round, re-clamp:
+    clip(R(clip(T, lower, upper)), ceil(lower), floor(upper)) with R the
+    half-away rounding; HyperBox._project rounds and clamps once."""
+    clamped = np.clip(T, lower, upper)
+    return np.clip(round_half_away(clamped), np.ceil(lower), np.floor(upper))
 
 
 def in_box(box, T):

@@ -4,7 +4,14 @@ import pytest
 from rowcolproj.box import HyperBox, make_box, round_half_away
 from rowcolproj.linalg import frobenius_norm
 
-from _support import DEMO_COL_SUMS, DEMO_ROW_SUMS, in_box, nearest_integer_in_interval
+from _support import (
+    DEMO_COL_SUMS,
+    DEMO_ROW_SUMS,
+    in_box,
+    nearest_integer_in_interval,
+    same_bits,
+    two_clip_project,
+)
 
 
 def test_make_box_demo_bounds():
@@ -89,6 +96,28 @@ def test_integer_projection_reclamps_to_integer_endpoints():
     assert box.project(np.array([[9.0]]))[0, 0] == 2.0
     assert box.project(np.array([[-9.0]]))[0, 0] == 1.0
     assert box.project(np.array([[2.9]]))[0, 0] == 2.0
+
+
+def test_integer_projection_is_the_two_clip_projection_bit_for_bit():
+    # negative, fractional, integer and signed-zero bounds; inputs at and between
+    # the bounds, at ties and at +-0.0; stacks long enough for numpy's SIMD loops
+    rng = np.random.default_rng(44)
+    shape = (64, 6, 7)
+    lower = rng.uniform(-20.0, 5.0, size=shape[1:])
+    lower[0] = np.round(lower[0])
+    lower[1, :3] = (-0.0, 0.0, -0.5)
+    upper = lower + rng.uniform(1.0, 20.0, size=shape[1:])
+    upper[2] = np.floor(upper[2])
+    upper[1, :3] = (0.0, 0.0, 2.5)
+    box = HyperBox(lower=lower, upper=upper, integer_restricted=True)
+    T = rng.uniform(-30.0, 30.0, size=shape)
+    T[:8] = np.round(T[:8]) + 0.5
+    T[8:16] = rng.choice([-0.0, 0.0, -0.3, 0.3, -0.5, 0.5], size=(8, *shape[1:]))
+    T[16:20] = lower
+    T[20:24] = upper
+    T[24:28] = np.nextafter(lower, -np.inf)
+    T[28:32] = np.nextafter(upper, np.inf)
+    assert same_bits(box._project(T), two_clip_project(lower, upper, T))
 
 
 def test_project_idempotent():

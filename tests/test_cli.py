@@ -280,6 +280,19 @@ def test_inconsistent_targets_error_names_the_range_projection(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+def test_too_large_integer_box_leaves_no_out_dir(tmp_path, capsys):
+    # every row and column sum of this integer box could reach 2e16 > 2^53
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"s": [1e16, 1e16], "r": [1e16, 1e16], "case": "integer",
+                                  "num_runs": 2}))
+    rc = main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2^53" in captured.err and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("alg", ["dr", "map", "dyk"])
 def test_solve_prints_the_distance_of_experiment_run_zero(alg, tmp_path, capsys):
     assert main(["experiment", "--runs", "2", "--seed", "4",
@@ -307,11 +320,12 @@ def test_solve_prints_the_distance_of_experiment_run_zero(alg, tmp_path, capsys)
      "max_iterations must be an integer"),
     ("experiment", {"s": [1, 1], "r": [1, 1], "feasibility_tol": True},
      "feasibility_tol must be a finite nonnegative number"),
+    ("experiment", {"s": [True, 1], "r": [1, True]}, "s must hold numbers, not booleans"),
     ("project", {"r": [1, 1]}, "the config has no s"),
     ("solve", {"r": [1, 1]}, "the config has no s"),
 ], ids=["unknown-key", "json-list", "missing-s", "fractional-iterations", "string-runs",
         "negative-tie-tol", "string-tol", "non-numeric-s", "bool-runs", "bool-iterations",
-        "bool-tol", "project-missing-s", "solve-missing-s"])
+        "bool-tol", "bool-targets", "project-missing-s", "solve-missing-s"])
 def test_bad_config_ends_with_one_line_error(command, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

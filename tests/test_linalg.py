@@ -137,4 +137,8 @@ def test_validation_rejects_non_finite():
         as_array(np.ones((5, 3, 2)), 3, (2, 3))
     with pytest.raises(ValueError, match="must hold numbers"):
         as_array({"a": 1}, 1)
+    # booleans are refused in lists, nested lists and bool arrays, not read as 0 and 1
+    for flags in ([True, 1.0], [[1.0], [np.True_]], np.ones(2, dtype=bool)):
+        with pytest.raises(ValueError, match="v must hold numbers, not booleans"):
+            as_array(flags, np.ndim(flags), name="v")
     assert as_array([[[1, 2, 3]], [[4, 5, 6]]], 3, (1, 3)).dtype == np.float64
