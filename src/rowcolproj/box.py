@@ -4,8 +4,8 @@ The standard construction from nonnegative targets (s, r) bounds entry
 (i, j) by [0, min(s_i, r_j)]: any nonnegative matrix with row sums s
 and column sums r satisfies it. An integer-restricted box stores
 ceil(lower) and floor(upper), which bound the same integer matrices,
-and projects by rounding to the nearest integer (ties away from zero)
-once and clamping to those integer endpoints once.
+and projects by rounding to the nearest integer (ties away from zero,
+exact at every magnitude) once and clamping to those endpoints once.
 """
 
 from dataclasses import dataclass
@@ -19,9 +19,11 @@ ROUNDING_TIE_RULE = "half-away-from-zero"
 
 
 def round_half_away(values):
-    """Round to nearest integer, ties away from zero."""
+    """Round to the nearest integer, ties away from zero, exactly at every magnitude:
+    values - trunc(values) and its double are exact float64 operations."""
     values = np.asarray(values, dtype=np.float64)
-    return np.where(values >= 0.0, np.floor(values + 0.5), np.ceil(values - 0.5))
+    whole = np.trunc(values)
+    return whole + np.trunc(2.0 * (values - whole))
 
 
 @dataclass(frozen=True)

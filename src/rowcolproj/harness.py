@@ -36,7 +36,7 @@ from .operator import unit_operator
 # ``harness.run`` at run time (perfbench/tracing.py) still find it.
 from .solvers import ALGORITHMS, BACKEND, SolverConfig, _check_box, run, run_batch  # noqa: F401
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Float64 entries per engine call's stack of starts (2 MiB). The engine
 # keeps several stacks of that size alive: its state (T, and R for

@@ -38,7 +38,7 @@ def _holds_bool(a):
     """``a`` is a bool, a bool array, or a (nested) list or tuple holding one."""
     if isinstance(a, (list, tuple)):
         return any(map(_holds_bool, a))
-    return np.asarray(a).dtype == np.bool_
+    return isinstance(a, bool) or getattr(a, "dtype", None) == np.bool_
 
 
 def as_array(a, ndim, shape=(), name="array"):

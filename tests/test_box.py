@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowcolproj.box import HyperBox, make_box, round_half_away
 from rowcolproj.linalg import frobenius_norm
@@ -72,8 +77,47 @@ def test_integer_rounding_ties_away_from_zero():
     assert box.project(np.array([[3.4]]))[0, 0] == 3.0
 
 
+BELOW_HALF = 0.5 - 2.0 ** -54  # 0.49999999999999994, the largest float below 1/2
+BIG_ODD = 2.0 ** 52 + 1.0     # floats in [2^52, 2^53) are 1 apart, so x + 0.5 is a tie there
+
+
+def exact_round_half_away(x):
+    """Nearest integer to the float x, ties away from zero, in exact rational arithmetic."""
+    return math.copysign(math.floor(abs(Fraction(x)) + Fraction(1, 2)), x)
+
+
 def test_round_half_away_negative_values():
     assert np.array_equal(round_half_away([-3.5, -2.5, -0.5, 0.5]), [-4.0, -3.0, -1.0, 1.0])
+    # signed zeros: -0.3 rounds to -0.0 and -0.0 to +0.0
+    values = [-0.0, 0.0, -0.3, 0.3, BELOW_HALF, -BELOW_HALF, BIG_ODD, -BIG_ODD,
+              2.0 ** 52 - 0.5, -(2.0 ** 52 - 0.5), 2.0 ** 53 - 1.0, 1e300, -1e300]
+    expected = [0.0, 0.0, -0.0, 0.0, 0.0, -0.0, BIG_ODD, -BIG_ODD,
+                2.0 ** 52, -(2.0 ** 52), 2.0 ** 53 - 1.0, 1e300, -1e300]
+    assert same_bits(round_half_away(values), np.array(expected))
+
+
+EDGE_VALUES = [0.0, -0.0, 0.5, -0.5, 1.5, -2.5, BELOW_HALF, -BELOW_HALF, 2.0 ** 52 - 0.5,
+               BIG_ODD, -BIG_ODD, 2.0 ** 53 - 1.0, -(2.0 ** 53 - 3.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-2.0 ** 54, 2.0 ** 54),
+                          st.integers(-2 ** 20, 2 ** 20).map(lambda k: k + 0.5),
+                          st.integers(2 ** 51, 2 ** 52 - 1).map(lambda k: float(2 * k + 1)),
+                          st.sampled_from(EDGE_VALUES)),
+                min_size=1, max_size=80))
+def test_round_half_away_is_exact(values):
+    # one array, so numpy's vector loops run as in the solvers
+    rounded = round_half_away(values)
+    assert rounded.tolist() == [exact_round_half_away(x) for x in values]
+
+
+def test_integer_box_keeps_its_own_large_odd_points():
+    box = HyperBox(lower=np.zeros((1, 2)), upper=np.full((1, 2), 2.0 ** 53),
+                   integer_restricted=True)
+    point = np.array([[BIG_ODD, 2.0 ** 53 - 1.0]])
+    assert same_bits(box.project(point), point)
 
 
 def test_integer_projection_matches_enumeration_oracle():

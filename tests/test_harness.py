@@ -359,7 +359,7 @@ def test_emit_outputs_files(tmp_path):
     deltas = (tmp_path / "out" / "deltas.csv").read_text().splitlines()
     assert len(deltas) == 1 + 3 * (spec.max_iterations + 1)
     loaded = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert loaded["schema_version"] == 2
+    assert loaded["schema_version"] == 3
     assert loaded["conventions"]["distance_norm"].startswith("largest singular value (LAPACK SVD)")
     assert loaded["spec"]["num_runs"] == 8
     assert loaded["conventions"]["rounding_tie_rule"] == "half-away-from-zero"
