@@ -48,7 +48,8 @@ class AffineMarginalSet:
         """Unchecked projection of a matrix or of each matrix of a (B, m, n) stack."""
         s, r = self.target
         row_part, col_part = self.op._apply(T)
-        return T - self.op._pinv(row_part - s, col_part - r)
+        K = self.op._pinv(row_part - s, col_part - r)
+        return np.subtract(T, K, out=K)
 
 
 def make_affine_set(op, s, r):

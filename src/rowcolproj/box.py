@@ -59,7 +59,10 @@ class HyperBox:
         """Unchecked projection of a matrix or of each matrix of a (B, m, n) stack."""
         if self.integer_restricted:
             T = round_half_away(T)
-        return np.clip(T, self.lower, self.upper)
+        # np.clip keeps a zero input that ties a zero bound of the other sign on
+        # (B, 1, 1) stacks; np.maximum and np.minimum return the bound on every layout.
+        out = np.maximum(T, self.lower)
+        return np.minimum(out, self.upper, out=out)
 
 
 def make_box(s, r, integer_restricted=False):

@@ -42,8 +42,8 @@ SCHEMA_VERSION = 3
 # keeps several stacks of that size alive: its state (T, and R for
 # Dykstra), both projections and the update's temporaries, and for an
 # integer box a saved copy of the state for its repeated-state exit.
-# tracemalloc peaks on 128 starts of 32x64, in stacks: convex 7 DR, 5 MAP
-# and 8 Dykstra; integer 8 DR, 6 MAP and 10 Dykstra. So this bounds a
+# tracemalloc peaks on 128 starts of 32x64, in stacks: convex 6 DR, 5 MAP
+# and 8 Dykstra; integer 7 DR, 6 MAP and 10 Dykstra. So this bounds a
 # batch's memory whatever num_runs is; results do not depend on the blocking.
 BLOCK_ENTRIES = 2 ** 18
 

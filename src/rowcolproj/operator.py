@@ -9,7 +9,9 @@ module provides A, the closed-form Moore-Penrose inverse A^+ in all
 four degeneracy cases (e and/or f zero), and the orthogonal projection
 onto ran A. A^+ A is the orthogonal projection onto ran A*, the
 matrices y e^T + f x^T. With unit weights these are the classical
-row/column-sum maps.
+row/column-sum maps, and A^+ is Romero's u_i + v_j: one broadcast add
+in place of the two weight products, with the same bits, because
+x * 1.0 == x exactly for every float64, -0.0 included.
 
 Degeneracy (e = 0 or f = 0) is decided by exact entrywise zero, never
 by a norm tolerance: the case split is algebraic, and near-zero weights
@@ -39,7 +41,7 @@ class MarginalPair(NamedTuple):
 
 @dataclass(frozen=True)
 class ScaledMarginalOperator:
-    """Immutable weight pair (e, f) with cached squared norms and zero flags."""
+    """Immutable weight pair (e, f) with cached squared norms and zero and unit flags."""
 
     e: np.ndarray
     f: np.ndarray
@@ -47,6 +49,7 @@ class ScaledMarginalOperator:
     f_norm_sq: float = field(init=False)
     e_is_zero: bool = field(init=False)
     f_is_zero: bool = field(init=False)
+    unit: bool = field(init=False)
 
     def __post_init__(self):
         e = frozen_copy(as_vector(self.e, name="e"))
@@ -57,6 +60,7 @@ class ScaledMarginalOperator:
         object.__setattr__(self, "f_norm_sq", float(f @ f))
         object.__setattr__(self, "e_is_zero", bool(np.all(e == 0.0)))
         object.__setattr__(self, "f_is_zero", bool(np.all(f == 0.0)))
+        object.__setattr__(self, "unit", bool(np.all(e == 1.0) and np.all(f == 1.0)))
 
     @property
     def n(self):
@@ -103,7 +107,8 @@ class ScaledMarginalOperator:
 
         Stacked pairs give, pair by pair, the same bits as single ones:
         every step is elementwise, and np.vecdot takes one dot product
-        per pair as the 1-d product f @ y does.
+        per pair as the 1-d product f @ y does. Unit weights skip the
+        products u e^T and f v^T, whose factors of 1.0 change no bit.
         """
         e, f = self.e, self.f
         if self.e_is_zero and self.f_is_zero:
@@ -115,6 +120,8 @@ class ScaledMarginalOperator:
         denom = self.e_norm_sq + self.f_norm_sq
         u = (y - (np.vecdot(y, f) / denom)[..., None] * f) / self.e_norm_sq
         v = (x - (np.vecdot(x, e) / denom)[..., None] * e) / self.f_norm_sq
+        if self.unit:
+            return np.add(u[..., :, None], v[..., None, :])
         return u[..., :, None] * e + f[:, None] * v[..., None, :]
 
     def project_range(self, p):

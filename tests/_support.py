@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 
 from rowcolproj.box import round_half_away
-from rowcolproj.operator import MarginalPair, ScaledMarginalOperator
+from rowcolproj.operator import MarginalPair, ScaledMarginalOperator, unit_operator
 from rowcolproj.solvers import SolverTrace
 
 # A known nonnegative integer matrix with row sums (32, 43, 33, 23) and
@@ -21,7 +21,7 @@ DEMO_SOLUTION = np.array(
 DEMO_ROW_SUMS = np.array([32.0, 43.0, 33.0, 23.0])
 DEMO_COL_SUMS = np.array([24.0, 18.0, 37.0, 27.0, 25.0])
 
-OPERATOR_MODES = ("generic", "e_zero", "f_zero", "both_zero", "sparse")
+OPERATOR_MODES = ("generic", "e_zero", "f_zero", "both_zero", "sparse", "unit")
 
 
 def random_operator(rng, m, n, mode="generic"):
@@ -29,7 +29,10 @@ def random_operator(rng, m, n, mode="generic"):
 
     "sparse" zeroes individual entries (vectors stay nonzero), which
     exercises redundancy handling that depends on nonzero coefficients.
+    "unit" is the all-ones operator, whose pseudoinverse has its own kernel.
     """
+    if mode == "unit":
+        return unit_operator(m, n)
     e = rng.normal(size=n)
     f = rng.normal(size=m)
     if mode == "e_zero":

@@ -15,8 +15,10 @@ from _support import (
     OPERATOR_MODES,
     ghr_project,
     khoury_project,
+    nine_pass_pinv,
     random_operator,
     romero_project,
+    same_bits,
 )
 
 
@@ -310,3 +312,21 @@ def test_project_properties_over_shapes_modes_and_magnitudes(shape, mode, consis
     assert frobenius_norm(afs.project(P1) - P1) <= 1e-12 * scale
     assert frobenius_norm(P1 - P2) <= frobenius_norm(T1 - T2) + 1e-12 * (scale + frobenius_norm(P2))
     assert frobenius_norm(P1 - oracle_project(op, s, r, T1)) <= 1e-11 * scale
+
+
+# finite entries up to 1e150 in magnitude, signed zeros drawn on purpose
+UNIT_ENTRIES = st.one_of(st.floats(-1e150, 1e150), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)), data=st.data())
+def test_unit_projection_matches_textbook_terms_bit_for_bit(shape, data):
+    B, m, n = shape
+    draw = lambda count: np.array(data.draw(st.lists(UNIT_ENTRIES, min_size=count, max_size=count)))
+    T = draw(B * m * n).reshape(shape)
+    afs = make_affine_set(unit_operator(m, n), draw(m), draw(n))
+    before = T.copy()
+    row_part, col_part = afs.op._apply(T)
+    s, r = afs.target
+    assert same_bits(afs._project(T), T - nine_pass_pinv(afs.op, row_part - s, col_part - r))
+    assert same_bits(T, before)

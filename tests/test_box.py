@@ -142,6 +142,17 @@ def test_integer_projection_reclamps_to_integer_endpoints():
     assert box.project(np.array([[2.9]]))[0, 0] == 2.0
 
 
+@pytest.mark.parametrize("integer_restricted", [False, True])
+@pytest.mark.parametrize("lower, upper", [(0.0, 9.0), (-0.0, 9.0), (-1.0, 0.0), (-1.0, -0.0)])
+def test_signed_zeros_at_a_bound_do_not_depend_on_the_stack_layout(lower, upper, integer_restricted):
+    # a stack of 1x1 matrices projects as each matrix does alone
+    box = HyperBox(lower=[[lower]], upper=[[upper]], integer_restricted=integer_restricted)
+    T = np.array([-0.0, 0.0, -0.3, 0.3, -0.5, 0.5])[:, None, None]
+    stacked = box._project(T)
+    for k in range(len(T)):
+        assert same_bits(stacked[k], box.project(T[k]))
+
+
 def test_integer_projection_is_the_two_clip_projection_bit_for_bit():
     # negative, fractional, integer and signed-zero bounds; inputs at and between
     # the bounds, at ties and at +-0.0; stacks long enough for numpy's SIMD loops

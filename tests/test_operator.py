@@ -23,7 +23,9 @@ def test_construction_caches_norms_and_flags():
     assert op.e_norm_sq == 25.0
     assert op.f_norm_sq == 9.0
     assert not op.e_is_zero and not op.f_is_zero
+    assert not op.unit
     assert op.shape == (3, 2)
+    assert unit_operator(3, 2).unit
 
 
 def test_degeneracy_is_exact_zero_not_tolerance():
@@ -119,6 +121,24 @@ def test_pinv_matches_textbook_terms_bit_for_bit_for_unit_weights(m, n):
     y, x = rng.uniform(-100.0, 100.0, size=(3, m)), rng.uniform(-100.0, 100.0, size=(3, n))
     assert same_bits(op._pinv(y, x), nine_pass_pinv(op, y, x))
     assert same_bits(op.pinv_apply(MarginalPair(y[0], x[0])), nine_pass_pinv(op, y[0], x[0]))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (4, 5), (32, 48)])
+@pytest.mark.parametrize("side", ["e", "f"])
+def test_weights_one_ulp_from_unit_take_the_rank_two_expression(m, n, side):
+    rng = np.random.default_rng(m * 1000 + n)
+    e, f = np.ones(n), np.ones(m)
+    weights = e if side == "e" else f
+    weights[rng.integers(len(weights))] = np.nextafter(1.0, 2.0)
+    op = ScaledMarginalOperator(e, f)
+    assert op.unit is False
+    y, x = rng.uniform(-100.0, 100.0, size=(3, m)), rng.uniform(-100.0, 100.0, size=(3, n))
+    denom = op.e_norm_sq + op.f_norm_sq
+    u = (y - (np.vecdot(y, f) / denom)[:, None] * f) / op.e_norm_sq
+    v = (x - (np.vecdot(x, e) / denom)[:, None] * e) / op.f_norm_sq
+    out = op._pinv(y, x)
+    assert same_bits(out, u[:, :, None] * e + f[:, None] * v[:, None, :])
+    assert not same_bits(out, u[:, :, None] + v[:, None, :])
 
 
 def test_project_range_annihilates_orthogonal_direction():

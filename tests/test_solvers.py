@@ -276,7 +276,7 @@ def test_degenerate_operator_runs_on_python_path():
 @given(
     m=st.integers(1, 5),
     n=st.integers(1, 5),
-    mode=st.sampled_from(("unit",) + OPERATOR_MODES),
+    mode=st.sampled_from(OPERATOR_MODES),
     integer=st.booleans(),
     size=st.integers(1, 6),
     max_iterations=st.integers(1, 40),
@@ -290,7 +290,7 @@ def test_batch_runs_match_reference_and_single_runs_bit_for_bit(
     # with unit weights, where the projected targets are integral.
     rng = np.random.default_rng(seed)
     M = rng.integers(0, 10, size=(m, n)).astype(float)
-    op = unit_operator(m, n) if mode == "unit" else random_operator(rng, m, n, mode)
+    op = random_operator(rng, m, n, mode)
     affine_set = make_affine_set(op, M @ op.e, M.T @ op.f)
     box = make_box(M.sum(axis=1), M.sum(axis=0), integer_restricted=integer)
     starts = rng.uniform(-20.0, 20.0, size=(size, m, n))
@@ -350,7 +350,7 @@ def test_integer_box_rejects_sums_beyond_exact_floats():
 @given(
     m=st.integers(1, 5),
     n=st.integers(1, 5),
-    mode=st.sampled_from(("unit",) + OPERATOR_MODES),
+    mode=st.sampled_from(OPERATOR_MODES),
     size=st.integers(1, 6),
     max_iterations=st.integers(1, 70),
     seed=st.integers(0, 2 ** 32 - 1),
@@ -361,7 +361,7 @@ def test_integer_runs_that_repeat_a_state_keep_full_length_traces(
     # no integer run can converge, so every start runs into the cap or a cycle.
     rng = np.random.default_rng(seed)
     M = rng.integers(0, 10, size=(m, n)).astype(float)
-    op = unit_operator(m, n) if mode == "unit" else random_operator(rng, m, n, mode)
+    op = random_operator(rng, m, n, mode)
     affine_set = make_affine_set(op, M @ op.e, M.T @ op.f)
     box = make_box(M.sum(axis=1), M.sum(axis=0), integer_restricted=True)
     starts = rng.uniform(-20.0, 20.0, size=(size, m, n))
