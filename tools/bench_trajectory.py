@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Write BENCH_<pr>.json: perfbench's end-to-end metrics plus in-process batch times.
+"""Write BENCH_<N>.json: perfbench's end-to-end metrics plus in-process batch times.
 
 Usage (from anywhere inside the repository):
 
-    python3 tools/bench_trajectory.py --pr N [--rev REV] [--seeds 31,32,33,34,35]
+    python3 tools/bench_trajectory.py --number N [--rev REV] [--seeds 31,32,33,34,35]
                                       [--seconds 30] [--repeats 3]
 
 The tree measured is this checkout, or with ``--rev`` a temporary git
@@ -145,7 +145,7 @@ def environment(tree):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pr", type=int, required=True, help="the N of BENCH_<N>.json")
+    parser.add_argument("--number", type=int, required=True, help="the N of BENCH_<N>.json")
     parser.add_argument("--rev", help="measure a worktree of this git revision, not this checkout")
     parser.add_argument("--seeds", default="31,32,33,34,35", help="perfbench seeds, comma separated")
     parser.add_argument("--seconds", type=float, default=30.0, help="perfbench --seconds")
@@ -156,7 +156,7 @@ def main(argv=None):
         parser.error("--repeats and --seeds need at least one value")
     with tempfile.TemporaryDirectory(prefix="rowcolproj-bench-") as tmp, \
             (worktree(args.rev, tmp) if args.rev else nullcontext(ROOT)) as tree:
-        bench = {"pr": args.pr, **environment(tree),
+        bench = {"number": args.number, **environment(tree),
                  "settings": {"seeds": seeds, "seconds": args.seconds, "repeats": args.repeats},
                  "perfbench": {}, "regimes": {}}
         for workload in WORKLOADS:
@@ -174,7 +174,7 @@ def main(argv=None):
                 out_dir.mkdir()
                 bench["regimes"][name]["jobs"][str(jobs)] = run_regime(tree, config, jobs,
                                                                        args.repeats, out_dir)
-    path = ROOT / f"BENCH_{args.pr}.json"
+    path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(bench, indent=2) + "\n")
     print(f"wrote {path}")
     return 0
