@@ -3,28 +3,27 @@
 
 Usage (from anywhere inside the repository):
 
-    python3 tools/bench_trajectory.py --number N [--rev REV] [--seeds 31,32,33,34,35]
-                                      [--seconds 30] [--repeats 3]
+    python3 tools/bench_trajectory.py --number N [--rev REV]
 
 The tree measured is this checkout, or with ``--rev`` a temporary git
 worktree of REV, so a baseline is measured with the same script. Two
 parts, both from that tree's own files:
 
 - ``perfbench``: its ``perfbench/run.py --trace 0``, unchanged, on each
-  of its three workloads for every seed of ``--seeds``.
+  of its three workloads, 30 s each, for seeds 31 to 35.
 - ``regimes``: in one process per regime and ``--jobs`` value, with
   that tree's ``src`` on ``PYTHONPATH``, the wall time of
   ``run_experiment`` on batches perfbench lacks: 4x5 convex 1000 runs,
   32x48 integer 200 runs with starts in [0, 20), 32x48 convex 200 runs,
   and 256x384 convex 8 runs of at most 50 iterations, each at jobs 1
-  and 2. One untimed 1-run batch warms the process first. The sha256 of
-  each regime's runs.csv is recorded, and every repeat must give it.
+  and 2, three times each. One untimed 1-run batch warms the process
+  first. The sha256 of each regime's runs.csv is recorded, and every
+  repeat must give it.
 
 Every metric is recorded with its runs, median and quartiles, next to
 the machine, the Python, numpy and BLAS versions and the git revision.
 The file goes to the root of this checkout. Run nothing else on the
-machine meanwhile; the run takes about 3 * seeds * (seconds + 10) s
-plus about 20 s per repeat.
+machine meanwhile; the run takes about 12 minutes on 2 CPUs.
 """
 
 import argparse
@@ -45,6 +44,9 @@ from golden import git, sample_targets, worktree
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = Path(__file__).resolve().parent
 WORKLOADS = ("demo4x5-convex", "demo4x5-integer", "large256x384-convex")
+SEEDS = (31, 32, 33, 34, 35)
+SECONDS = 30.0  # perfbench --seconds
+REPEATS = 3  # timed batches per regime and jobs value
 JOBS = (1, 2)
 # Name and config of each regime; a config without "s" uses the bundled 4x5 instance.
 REGIMES = {
@@ -147,23 +149,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", type=int, required=True, help="the N of BENCH_<N>.json")
     parser.add_argument("--rev", help="measure a worktree of this git revision, not this checkout")
-    parser.add_argument("--seeds", default="31,32,33,34,35", help="perfbench seeds, comma separated")
-    parser.add_argument("--seconds", type=float, default=30.0, help="perfbench --seconds")
-    parser.add_argument("--repeats", type=int, default=3, help="timed batches per regime and jobs")
     args = parser.parse_args(argv)
-    seeds = [int(tok) for tok in args.seeds.split(",")]
-    if args.repeats < 1 or not seeds:
-        parser.error("--repeats and --seeds need at least one value")
     with tempfile.TemporaryDirectory(prefix="rowcolproj-bench-") as tmp, \
             (worktree(args.rev, tmp) if args.rev else nullcontext(ROOT)) as tree:
         bench = {"number": args.number, **environment(tree),
-                 "settings": {"seeds": seeds, "seconds": args.seconds, "repeats": args.repeats},
+                 "settings": {"seeds": SEEDS, "seconds": SECONDS, "repeats": REPEATS},
                  "perfbench": {}, "regimes": {}}
         for workload in WORKLOADS:
             results = []
-            for seed in seeds:
+            for seed in SEEDS:
                 print(f"perfbench {workload} --seed {seed}", file=sys.stderr, flush=True)
-                results.append(run_perfbench(tree, workload, seed, args.seconds))
+                results.append(run_perfbench(tree, workload, seed, SECONDS))
             bench["perfbench"][workload] = perfbench_summary(results)
         for name, config in REGIMES.items():
             bench["regimes"][name] = {"config": {k: v for k, v in config.items() if k not in ("s", "r")},
@@ -173,7 +169,7 @@ def main(argv=None):
                 out_dir = Path(tmp) / f"{name}-jobs{jobs}"
                 out_dir.mkdir()
                 bench["regimes"][name]["jobs"][str(jobs)] = run_regime(tree, config, jobs,
-                                                                       args.repeats, out_dir)
+                                                                       REPEATS, out_dir)
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(bench, indent=2) + "\n")
     print(f"wrote {path}")
