@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .affine import make_affine_set
-from .harness import ExperimentSpec, _build_problem, _fmt, draw_start, emit_outputs, run_experiment
-from .linalg import as_matrix, as_vector, spectral_norm
+from .harness import (ExperimentSpec, _algorithm_results, _build_problem, _fmt, draw_start,
+                      emit_outputs, run_experiment)
+from .linalg import as_matrix, as_vector
 from .operator import ScaledMarginalOperator
-from .solvers import run
+from .solvers import _solve
 
 DEFAULT_CONFIG = "demo_4x5.json"
 
@@ -111,12 +112,16 @@ def cmd_project(args):
     op = ScaledMarginalOperator(e, f)
     if op.shape != T.shape:
         raise ValueError(f"the weights imply shape {op.m}x{op.n} but the matrix is {m}x{n}")
-    write_matrix(make_affine_set(op, spec.s, spec.r).project(T), args.output)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with one line
+        X = make_affine_set(op, spec.s, spec.r).project(T)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("the projection has non-finite entries: the input is too large for float64")
+    write_matrix(X, args.output)
     return 0
 
 
 def cmd_solve(args):
-    """One run from --input, or from the start that run 0 of the same experiment draws."""
+    """Run 0 of the same experiment, or one run from --input, through an experiment row's code."""
     spec = _spec_from_args(args, num_runs=1)
     affine_set, box = _build_problem(spec.s, spec.r, spec.case)
     if args.input is not None:
@@ -126,17 +131,17 @@ def cmd_solve(args):
                              f"but the targets imply {spec.m}x{spec.n}")
     else:
         T0 = draw_start(spec, 0)
-    cfg = spec.solver_config(args.alg)
-    trace = run(affine_set, box, T0, cfg)
-    for k, delta in enumerate(trace.deltas):
+    (trace,) = _solve(affine_set, box, T0[None], spec.solver_config(args.alg))
+    (result,) = _algorithm_results(spec, T0[None], [trace])
+    for k, delta in enumerate(result.deltas):
         print(f"{k} {_fmt(delta)}")
-    if trace.converged:
-        print(f"feasible at iteration {trace.first_feasible_iteration}")
-        print(f"distance to start (spectral): {_fmt(spectral_norm(T0 - trace.first_feasible_matrix))}")
+    if result.converged:
+        print(f"feasible at iteration {result.iterations}")
+        print(f"distance to start (spectral): {_fmt(result.distance)}")
         sys.stdout.write(format_matrix(trace.first_feasible_matrix))
         return 0
-    print(f"no feasible point within {cfg.max_iterations} iterations "
-          f"(final delta {_fmt(trace.deltas[-1])})")
+    print(f"no feasible point within {spec.max_iterations} iterations "
+          f"(final delta {_fmt(result.deltas[-1])})")
     return 1
 
 
@@ -210,11 +215,11 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; invalid input and unwritable outputs exit with status 2."""
+    """Run one command; invalid input, unwritable outputs and failed allocations exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"rowcolproj {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

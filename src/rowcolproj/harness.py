@@ -34,7 +34,7 @@ from .linalg import as_integer, as_vector, check_finite, frozen_copy, spectral_n
 from .operator import unit_operator
 # ``run`` is not called here; the name stays so that tools which wrap
 # ``harness.run`` at run time (perfbench/tracing.py) still find it.
-from .solvers import ALGORITHMS, BACKEND, SolverConfig, _check_box, run, run_batch  # noqa: F401
+from .solvers import ALGORITHMS, BACKEND, SolverConfig, _check_box, _solve, run  # noqa: F401
 
 SCHEMA_VERSION = 3
 
@@ -75,20 +75,21 @@ class ExperimentSpec:
         object.__setattr__(self, "r", frozen_copy(as_vector(self.r, name="r")))
         if self.case not in ("convex", "integer"):
             raise ValueError(f"case must be 'convex' or 'integer', got {self.case!r}")
-        for name in ("num_runs", "seed", "max_iterations"):
+        # SolverConfig holds the max_iterations and feasibility_tol rules
+        object.__setattr__(self, "max_iterations", self.solver_config("DR").max_iterations)
+        for name in ("num_runs", "seed"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name=name))
         for name in ("init_low", "init_high"):
             check_finite(getattr(self, name), name=name)
-        for name in ("feasibility_tol", "distance_tie_tol"):
-            check_finite(getattr(self, name), name=name, nonnegative=True)
+        check_finite(self.distance_tie_tol, name="distance_tie_tol", nonnegative=True)
         if self.num_runs < 1:
             raise ValueError("num_runs must be >= 1")
         if not self.init_low < self.init_high:
             raise ValueError("init_low must be strictly below init_high")
+        if not np.isfinite(float(self.init_high) - float(self.init_low)):
+            raise ValueError("the init interval is too wide: init_high - init_low overflows float64")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
     @property
     def m(self):
@@ -209,11 +210,11 @@ def _algorithm_results(spec, starts, trace_list):
 
 
 def _run_block(spec, affine_set, box, indices):
-    """Solve the runs ``indices`` with one stacked engine call per algorithm."""
+    """Solve the runs ``indices`` with one engine call per algorithm; _build_problem checked the problem."""
     starts = np.stack([draw_start(spec, i) for i in indices])
     results = {
-        key: _algorithm_results(spec, starts, run_batch(affine_set, box, starts,
-                                                         spec.solver_config(key)))
+        key: _algorithm_results(spec, starts, _solve(affine_set, box, starts,
+                                                     spec.solver_config(key)))
         for key in ALGORITHMS
     }
     records = []

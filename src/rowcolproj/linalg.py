@@ -48,7 +48,7 @@ def as_array(a, ndim, shape=(), name="array"):
         raise ValueError(f"{name} must hold numbers, not booleans")
     try:
         arr = np.asarray(a, dtype=np.float64)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # e.g. a string or a ragged list
         raise ValueError(f"{name} must hold numbers: {exc}") from None
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty {ndim}-d array, got shape {arr.shape}")

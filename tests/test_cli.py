@@ -7,7 +7,8 @@ import pytest
 
 from rowcolproj import cli
 from rowcolproj.affine import make_affine_set
-from rowcolproj.cli import format_matrix, main, read_matrix
+from rowcolproj.cli import format_matrix, load_config, main, read_matrix
+from rowcolproj.harness import ExperimentSpec, _fmt, run_experiment
 from rowcolproj.operator import ScaledMarginalOperator, unit_operator
 from rowcolproj.oracle import oracle_project
 
@@ -236,7 +237,14 @@ def test_console_entry_point_help():
     (["project", "{tmp}/t.txt", "--row-sums", ""], "row sums must be a nonempty"),
     (["solve", "--col-sums", ""], "column sums must be a nonempty"),
     (["solve", "--input", ""], "cannot read matrix file"),
+    # a delta table of 8 PB per start cannot be allocated
+    (["solve", "--iters", "1000000000000000"], "Unable to allocate"),
+    (["experiment", "--iters", "1000000000000000"], "Unable to allocate"),
+    # targets whose projection overflows float64
+    (["project", "{tmp}/t.txt", "--row-sums", "1e308,1e308,1e308,1e308",
+      "--col-sums", "1e308,1e308,1e308,1e308,1e308"], "the projection has non-finite entries"),
 ])
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way to the error either
 def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys):
     (tmp_path / "file").write_text("")
     write_matrix_file(tmp_path / "t.txt", np.zeros((4, 5)))
@@ -293,15 +301,25 @@ def test_too_large_integer_box_leaves_no_out_dir(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("alg", ["dr", "map", "dyk"])
-def test_solve_prints_the_distance_of_experiment_run_zero(alg, tmp_path, capsys):
-    assert main(["experiment", "--runs", "2", "--seed", "4",
-                 "--out-dir", str(tmp_path / "out")]) == 0
-    header, row0 = (tmp_path / "out" / "runs.csv").read_text().splitlines()[:2]
-    distance = dict(zip(header.split(","), row0.split(",")))[f"{alg}_distance"]
-    capsys.readouterr()
-    assert main(["solve", "--alg", alg, "--seed", "4"]) == 0
-    assert f"distance to start (spectral): {distance}\n" in capsys.readouterr().out
+@pytest.mark.parametrize("alg, case", [
+    pytest.param(alg, case, id=alg if case == "convex" else f"{alg}-{case}")
+    for case in ("convex", "integer") for alg in ("dr", "map", "dyk")])
+def test_solve_prints_the_distance_of_experiment_run_zero(alg, case, capsys):
+    # every k delta_k line, the outcome and the distance (as runs.csv writes it) are run 0's
+    spec = ExperimentSpec.from_config(load_config(), num_runs=2, seed=4, case=case)
+    run0 = run_experiment(spec)[0][0].results[alg.upper()]
+    rc = main(["solve", "--alg", alg, "--seed", "4", "--case", case])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:len(run0.deltas)] == [f"{k} {_fmt(d)}" for k, d in enumerate(run0.deltas)]
+    outcome = lines[len(run0.deltas):]
+    if run0.converged:
+        assert rc == 0
+        assert outcome[:2] == [f"feasible at iteration {run0.iterations}",
+                               f"distance to start (spectral): {_fmt(run0.distance)}"]
+    else:
+        assert rc == 1
+        assert outcome == [f"no feasible point within {spec.max_iterations} iterations "
+                           f"(final delta {_fmt(run0.deltas[-1])})"]
 
 
 @pytest.mark.parametrize("command, config, message", [
@@ -321,11 +339,15 @@ def test_solve_prints_the_distance_of_experiment_run_zero(alg, tmp_path, capsys)
     ("experiment", {"s": [1, 1], "r": [1, 1], "feasibility_tol": True},
      "feasibility_tol must be a finite nonnegative number"),
     ("experiment", {"s": [True, 1], "r": [1, True]}, "s must hold numbers, not booleans"),
+    ("experiment", {"s": "abc", "r": [1, 1]}, "s must hold numbers: could not convert"),
+    ("experiment", {"s": [1, 1], "r": [1, 1], "init_low": -1e308, "init_high": 1e308},
+     "init_high - init_low overflows float64"),
     ("project", {"r": [1, 1]}, "the config has no s"),
     ("solve", {"r": [1, 1]}, "the config has no s"),
 ], ids=["unknown-key", "json-list", "missing-s", "fractional-iterations", "string-runs",
         "negative-tie-tol", "string-tol", "non-numeric-s", "bool-runs", "bool-iterations",
-        "bool-tol", "bool-targets", "project-missing-s", "solve-missing-s"])
+        "bool-tol", "bool-targets", "string-s", "overflowing-init-width", "project-missing-s",
+        "solve-missing-s"])
 def test_bad_config_ends_with_one_line_error(command, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -15,9 +15,12 @@ committed hash would.
 The cases: the default 1000-run convex and integer experiments; two
 300-run integer batches on inconsistent targets; a 40-run 32x48 integer
 batch and a 2-run, 50-iteration 256x384 convex batch, each at --jobs 1
-and 2; the stdout of 36 single ``solve`` runs; and the stdout of five
-``project`` calls (default targets, given targets, a target shape the
-matrix does not have, general weights, explicit all-ones weights).
+and 2; the stdout of 36 single ``solve`` runs from drawn starts and of
+two from a fixed 4x5 start matrix (``--input``, convex and integer);
+and the stdout of eight ``project`` calls of that matrix (default
+targets, given targets, a target shape the matrix does not have,
+general weights, explicit all-ones weights, zero row weights, zero
+column weights, both zero).
 
 A change of harness.SCHEMA_VERSION announces different output, so the
 check is skipped then. Exit status: 0 when every case matches or the
@@ -37,7 +40,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENT_FILES = ("runs.csv", "summary.json", "deltas.csv")
-# A fixed 4x5 matrix for the project cases.
+# A fixed 4x5 matrix for the project cases and the solve --input cases.
 PROJECT_MATRIX = "4 5\n1 -2 3.5 0 7\n0.25 4 -1 2 9\n3 3 3 3 3\n-6 0.5 8 1 -4\n"
 PROJECT_FLAGS = (
     [],
@@ -45,6 +48,10 @@ PROJECT_FLAGS = (
     ["--row-sums", "1,2,3", "--col-sums", "1,2"],  # exit status 2
     ["--row-weights", "1,2,0.5,3", "--col-weights", "2,1,1,0.5,4"],
     ["--row-weights", "1,1,1,1", "--col-weights", "1,1,1,1,1"],
+    # the zero-weight branches of the pseudoinverse and the range projection
+    ["--row-weights", "0,0,0,0"],
+    ["--col-weights", "0,0,0,0,0"],
+    ["--row-weights", "0,0,0,0", "--col-weights", "0,0,0,0,0"],
 )
 
 
@@ -102,6 +109,9 @@ def cases(work):
                 yield " ".join(args), args, None
     matrix = work / "T.txt"
     matrix.write_text(PROJECT_MATRIX)
+    for case in ("convex", "integer"):
+        yield f"solve --input T.txt --case {case}", \
+            ["solve", "--input", str(matrix), "--case", case], None
     for flags in PROJECT_FLAGS:
         yield " ".join(["project", *flags]), ["project", str(matrix), *flags], None
 
