@@ -19,7 +19,7 @@ from .harness import (ExperimentSpec, _algorithm_results, _build_problem, _fmt, 
                       emit_outputs, run_experiment)
 from .linalg import as_matrix, as_vector
 from .operator import ScaledMarginalOperator
-from .solvers import _solve
+from .solvers import ALGORITHMS, _solve
 
 DEFAULT_CONFIG = "demo_4x5.json"
 
@@ -52,14 +52,6 @@ def format_matrix(T):
     return "\n".join(lines) + "\n"
 
 
-def write_matrix(T, path=None):
-    text = format_matrix(T)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
 def _parse_vector(text, name):
     try:
         values = [float(tok) for tok in text.replace(",", " ").split()]
@@ -70,11 +62,9 @@ def _parse_vector(text, name):
 
 def load_config(path=None):
     """The JSON config at ``path``, or the bundled 4x5 instance when it is None."""
-    if path is None:
-        with resources.files("rowcolproj.data").joinpath(DEFAULT_CONFIG).open() as fh:
-            return json.load(fh)
+    source = resources.files("rowcolproj.data") / DEFAULT_CONFIG if path is None else Path(path)
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(source.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot load config {path}: {exc}") from None
 
@@ -116,7 +106,10 @@ def cmd_project(args):
         X = make_affine_set(op, spec.s, spec.r).project(T)
     if not np.all(np.isfinite(X)):
         raise ValueError("the projection has non-finite entries: the input is too large for float64")
-    write_matrix(X, args.output)
+    if args.output is None:
+        sys.stdout.write(format_matrix(X))
+    else:
+        Path(args.output).write_text(format_matrix(X))
     return 0
 
 
@@ -172,6 +165,15 @@ def _add_spec_flags(parser):
     parser.add_argument("--case", choices=["convex", "integer"], help="default: the config's case")
 
 
+def _add_target_flags(parser):
+    """--row-sums, --col-sums and --config; a target no flag sets comes from the config."""
+    parser.add_argument("--row-sums", help="target row sums s, comma or space separated "
+                                           "(default: the config's s)")
+    parser.add_argument("--col-sums", help="target column sums r (default: the config's r)")
+    parser.add_argument("--config", help="JSON config supplying the targets a flag does not set "
+                                         "(default: bundled 4x5 instance)")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rowcolproj",
@@ -182,24 +184,17 @@ def build_parser():
 
     p_proj = sub.add_parser("project", help="project a matrix file onto a constraint set")
     p_proj.add_argument("input", help="matrix file (first line 'm n', then m rows)")
-    p_proj.add_argument("--row-sums", help="target row sums s, comma or space separated "
-                                           "(default: the config's s)")
-    p_proj.add_argument("--col-sums", help="target column sums r (default: the config's r)")
+    _add_target_flags(p_proj)
     p_proj.add_argument("--row-weights", help="row weight vector f (default: all ones)")
     p_proj.add_argument("--col-weights", help="column weight vector e (default: all ones)")
-    p_proj.add_argument("--config", help="JSON config supplying the targets a flag does not set "
-                                         "(default: bundled 4x5 instance)")
     p_proj.add_argument("--output", help="write result here instead of stdout")
     p_proj.set_defaults(func=cmd_project)
 
     p_solve = sub.add_parser("solve", help="run one algorithm from a single start matrix")
     p_solve.add_argument("--input", help="start matrix file; omit to draw a random start")
-    p_solve.add_argument("--alg", choices=["dr", "map", "dyk"], default="dr")
+    p_solve.add_argument("--alg", choices=[name.lower() for name in ALGORITHMS], default="dr")
     _add_spec_flags(p_solve)
-    p_solve.add_argument("--row-sums", help="target row sums (default: bundled 4x5 instance)")
-    p_solve.add_argument("--col-sums", help="target column sums")
-    p_solve.add_argument("--config", help="JSON config supplying every spec field a flag "
-                                          "does not set (default: bundled 4x5 instance)")
+    _add_target_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_exp = sub.add_parser("experiment", help="random-start batch over all three algorithms")

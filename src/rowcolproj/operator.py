@@ -35,9 +35,6 @@ class MarginalPair(NamedTuple):
     row_part: np.ndarray  # dim m
     col_part: np.ndarray  # dim n
 
-    def concat(self):
-        return np.concatenate([self.row_part, self.col_part])
-
 
 @dataclass(frozen=True)
 class ScaledMarginalOperator:

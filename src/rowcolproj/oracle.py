@@ -16,7 +16,6 @@ cross-checks only, not for use inside the solvers.
 import numpy as np
 
 from .linalg import as_matrix, as_vector
-from .operator import MarginalPair
 
 
 def build_explicit(op):
@@ -58,12 +57,12 @@ def oracle_project(op, s, r, T):
     T = as_matrix(T, shape=(m, n), name="T")
     s = as_vector(s, dim=m, name="s")
     r = as_vector(r, dim=n, name="r")
-    projected = op.project_range(MarginalPair(s, r))
+    projected = op.project_range((s, r))
     rows = _constraint_rows(op)
     if not rows:
         return T.copy()
     M = build_explicit(op)
-    target = projected.concat()
+    target = np.concatenate(projected)
     Mr = M[rows]
     br = target[rows]
     k = len(rows)

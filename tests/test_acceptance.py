@@ -202,7 +202,7 @@ def test_criterion_7_invariant_suites():
         from rowcolproj.operator import MarginalPair
         Pp = op.project_range(MarginalPair(p[:4], p[4:]))
         Pq = op.project_range(MarginalPair(q[:4], q[4:]))
-        selfadj = max(selfadj, abs(float(Pp.concat() @ q) - float(p @ Pq.concat())))
+        selfadj = max(selfadj, abs(float(np.concatenate(Pp) @ q) - float(p @ np.concatenate(Pq))))
     ok = (idem <= 1e-12 and orth <= 1e-10 and resid <= 1e-12
           and selfadj <= 1e-12 * 100 and nonexp <= 1e-12 * 100)
     _report(7, "invariant suites over 100 random instances each", ok,

@@ -49,7 +49,7 @@ def test_inconsistent_targets_are_range_projected():
 def test_zero_operator_targets_project_to_zero():
     op = ScaledMarginalOperator(np.zeros(3), np.zeros(2))
     afs = make_affine_set(op, [1.0, 2.0], [3.0, 4.0, 5.0])
-    assert not afs.projected_target.concat().any()
+    assert not np.concatenate(afs.projected_target).any()
 
 
 def test_projected_target_recomputable():
@@ -60,7 +60,7 @@ def test_projected_target_recomputable():
         r = rng.normal(size=4)
         afs = make_affine_set(op, s, r)
         again = op.project_range(afs.target)
-        assert np.max(np.abs(afs.projected_target.concat() - again.concat())) <= 1e-12
+        assert np.max(np.abs(np.concatenate(afs.projected_target) - np.concatenate(again))) <= 1e-12
 
 
 def test_project_fixes_demo_solution():
@@ -96,7 +96,7 @@ def test_project_achieves_projected_targets():
             T = rng.normal(size=(4, 5)) * 10
             out = afs.project(T)
             pair = op.apply(out)
-            dev = np.max(np.abs(pair.concat() - afs.projected_target.concat()))
+            dev = np.max(np.abs(np.concatenate(pair) - np.concatenate(afs.projected_target)))
             assert dev <= 1e-10 * (1 + frobenius_norm(T))
 
 

@@ -145,7 +145,7 @@ def test_project_range_annihilates_orthogonal_direction():
     rng = np.random.default_rng(12)
     op = random_operator(rng, 3, 4, "generic")
     out = op.project_range(MarginalPair(op.f, -op.e))
-    assert frobenius_norm(out.concat()[None, :]) <= 1e-12
+    assert frobenius_norm(np.concatenate(out)[None, :]) <= 1e-12
 
 
 def test_project_range_fixes_consistent_pair():
@@ -168,7 +168,7 @@ def test_project_range_degenerate_cases():
     assert np.array_equal(out.col_part, np.zeros(3))
     op = ScaledMarginalOperator(np.zeros(3), np.zeros(2))
     out = op.project_range(MarginalPair(y, x))
-    assert not out.concat().any()
+    assert not np.concatenate(out).any()
 
 
 def test_project_range_idempotent_and_self_adjoint():
@@ -180,10 +180,10 @@ def test_project_range_idempotent_and_self_adjoint():
             q = MarginalPair(rng.normal(size=3), rng.normal(size=4))
             Pp = op.project_range(p)
             PPp = op.project_range(Pp)
-            assert np.max(np.abs(PPp.concat() - Pp.concat())) <= 1e-12
+            assert np.max(np.abs(np.concatenate(PPp) - np.concatenate(Pp))) <= 1e-12
             # self-adjoint: <P p, q> = <p, P q>
-            lhs = float(Pp.concat() @ q.concat())
-            rhs = float(p.concat() @ op.project_range(q).concat())
+            lhs = float(np.concatenate(Pp) @ np.concatenate(q))
+            rhs = float(np.concatenate(p) @ np.concatenate(op.project_range(q)))
             assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(lhs)))
 
 
@@ -194,7 +194,7 @@ def test_project_range_after_apply_is_identity():
         for _ in range(5):
             pair = op.apply(rng.normal(size=(4, 3)))
             out = op.project_range(pair)
-            assert np.max(np.abs(out.concat() - pair.concat())) <= 1e-12
+            assert np.max(np.abs(np.concatenate(out) - np.concatenate(pair))) <= 1e-12
 
 
 def test_project_range_adjoint_zero_operator():

@@ -22,7 +22,7 @@ def test_build_explicit_matches_apply_on_basis():
             for j in range(2):
                 E = np.zeros((2, 2))
                 E[i, j] = 1.0
-                assert np.array_equal(M[:, i * 2 + j], op.apply(E).concat())
+                assert np.array_equal(M[:, i * 2 + j], np.concatenate(op.apply(E)))
 
 
 def test_build_explicit_matches_apply_random():
@@ -32,7 +32,7 @@ def test_build_explicit_matches_apply_random():
         M = build_explicit(op)
         for _ in range(5):
             T = rng.normal(size=(4, 5))
-            assert np.max(np.abs(M @ T.reshape(-1) - op.apply(T).concat())) <= 1e-12
+            assert np.max(np.abs(M @ T.reshape(-1) - np.concatenate(op.apply(T)))) <= 1e-12
 
 
 def test_rank_structure():
@@ -73,7 +73,7 @@ def test_oracle_satisfies_projected_constraints():
             r = rng.normal(size=n) * 4
             T = rng.normal(size=(m, n)) * 4
             X = oracle_project(op, s, r, T)
-            target = op.project_range(MarginalPair(s, r)).concat()
+            target = np.concatenate(op.project_range(MarginalPair(s, r)))
             resid = np.max(np.abs(build_explicit(op) @ X.reshape(-1) - target))
             scale = 1 + float(np.sqrt(s @ s + r @ r))
             assert resid <= 1e-10 * scale
