@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, frozen_copy
 from .operator import MarginalPair, ScaledMarginalOperator
 
 
@@ -58,11 +58,13 @@ def make_affine_set(op, s, r):
     Inconsistent targets are accepted; they are absorbed into the
     range projection (s_bar, r_bar) = P_ranA(s, r), and the distance
     ||(s, r) - (s_bar, r_bar)|| is recorded as ``consistency_residual``.
+    Both pairs are read-only copies, so a caller's later edit of s or r
+    changes nothing here.
     """
-    s = as_vector(s, dim=op.m, name="s")
-    r = as_vector(r, dim=op.n, name="r")
+    s = frozen_copy(as_vector(s, dim=op.m, name="s"))
+    r = frozen_copy(as_vector(r, dim=op.n, name="r"))
     target = MarginalPair(s, r)
-    projected = op.project_range(target)
+    projected = MarginalPair(*map(frozen_copy, op.project_range(target)))
     residual = float(
         np.sqrt(
             np.sum((s - projected.row_part) ** 2) + np.sum((r - projected.col_part) ** 2)

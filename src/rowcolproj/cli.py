@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .affine import make_affine_set
-from .harness import (ExperimentSpec, _algorithm_results, _build_problem, _fmt, draw_start,
-                      emit_outputs, run_experiment)
+from .harness import (ExperimentSpec, _algorithm_results, _build_problem, _fmt, _worker_count,
+                      draw_start, emit_outputs, run_experiment)
 from .linalg import as_matrix, as_vector
 from .operator import ScaledMarginalOperator
 from .solvers import ALGORITHMS, _solve
@@ -140,7 +140,9 @@ def cmd_solve(args):
 
 def cmd_experiment(args):
     spec = _spec_from_args(args)
-    _build_problem(spec.s, spec.r, spec.case)  # bad targets fail before --out-dir is made
+    # bad targets and a bad --jobs fail before --out-dir is made
+    _build_problem(spec.s, spec.r, spec.case)
+    _worker_count(args.jobs, spec.num_runs)
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # fail before the batch, not after
     records, summary = run_experiment(spec, jobs=args.jobs)
     paths = emit_outputs(records, summary, args.out_dir)

@@ -19,6 +19,7 @@ byte-identical whatever the blocking, ``jobs`` or worker scheduling.
 
 import json
 import os
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -84,6 +85,8 @@ class ExperimentSpec:
         check_finite(self.distance_tie_tol, name="distance_tie_tol", nonnegative=True)
         if self.num_runs < 1:
             raise ValueError("num_runs must be >= 1")
+        if self.num_runs > sys.maxsize:  # len(range(num_runs)) must fit in a C ssize_t
+            raise ValueError(f"num_runs must be at most {sys.maxsize}")
         if not self.init_low < self.init_high:
             raise ValueError("init_low must be strictly below init_high")
         if not np.isfinite(float(self.init_high) - float(self.init_low)):
@@ -176,8 +179,12 @@ def _build_problem(s, r, case):
     targets (s_bar, r_bar); nonnegative but inconsistent targets can
     still project to negative ones, and the error names them.
     """
-    affine_set = make_affine_set(unit_operator(len(s), len(r)), s, r)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with one line
+        affine_set = make_affine_set(unit_operator(len(s), len(r)), s, r)
     s_bar, r_bar = affine_set.projected_target
+    if not (np.all(np.isfinite(s_bar)) and np.all(np.isfinite(r_bar))):
+        raise ValueError("the range-projected targets (s_bar, r_bar) have non-finite entries: "
+                         "the targets are too large for float64")
     if np.any(s_bar < 0.0) or np.any(r_bar < 0.0):
         raise ValueError(
             "the range-projected targets have negative entries, but the box needs "
@@ -209,6 +216,14 @@ def _algorithm_results(spec, starts, trace_list):
     ]
 
 
+def _worker_count(jobs, num_runs):
+    """Worker processes for ``jobs``: never more than the CPU count or num_runs; jobs < 1 is refused."""
+    jobs = as_integer(jobs, name="jobs")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1, num_runs)
+
+
 def _run_block(spec, affine_set, box, indices):
     """Solve the runs ``indices`` with one engine call per algorithm; _build_problem checked the problem."""
     starts = np.stack([draw_start(spec, i) for i in indices])
@@ -238,10 +253,7 @@ def run_experiment(spec, jobs=1):
     per algorithm. With ``jobs`` > 1 the blocks go to a pool of at most
     ``jobs`` worker processes, and never more than the CPU count.
     """
-    jobs = as_integer(jobs, name="jobs")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, os.cpu_count() or 1, spec.num_runs)
+    workers = _worker_count(jobs, spec.num_runs)
     affine_set, box = _build_problem(spec.s, spec.r, spec.case)
     runs = range(spec.num_runs)
     size = min(max(1, BLOCK_ENTRIES // (spec.m * spec.n)), -(-len(runs) // workers))

@@ -8,9 +8,9 @@ boundary are validated once with :func:`as_array` or its
 treated as immutable afterwards.
 """
 
-import math
 import numbers
 import operator
+import sys
 
 import numpy as np
 
@@ -27,9 +27,11 @@ def as_integer(value, name="value"):
 
 def check_finite(value, name="value", nonnegative=False):
     """Refuse ``value`` unless it is a finite real number (and >= 0 when
-    ``nonnegative``): a string, a bool, None or a non-finite value raises a ValueError."""
+    ``nonnegative``): a string, a bool, None, a non-finite value or an int beyond
+    float64 raises a ValueError. ``abs(value) <= max float`` is exact for an int of
+    any size, where math.isfinite raises, and false for NaN."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and (value >= 0 or not nonnegative)):
+            and abs(value) <= sys.float_info.max and (value >= 0 or not nonnegative)):
         kind = "a finite nonnegative number" if nonnegative else "a finite number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 

@@ -46,6 +46,19 @@ def test_inconsistent_targets_are_range_projected():
     assert afs.consistency_residual == pytest.approx(2.0, abs=1e-14)
 
 
+def test_targets_are_read_only_copies():
+    s, r = DEMO_ROW_SUMS.copy(), DEMO_COL_SUMS.copy()
+    afs = make_affine_set(unit_operator(4, 5), s, r)
+    T = np.arange(20.0).reshape(4, 5)
+    before = afs.project(T)
+    s[0], r[0] = 1000.0, -1000.0  # the caller edits its own arrays afterwards
+    assert same_bits(afs.project(T), before)
+    assert np.array_equal(afs.projected_target.row_part, DEMO_ROW_SUMS)
+    for stored in (*afs.target, *afs.projected_target):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0.0
+
+
 def test_zero_operator_targets_project_to_zero():
     op = ScaledMarginalOperator(np.zeros(3), np.zeros(2))
     afs = make_affine_set(op, [1.0, 2.0], [3.0, 4.0, 5.0])

@@ -227,8 +227,8 @@ def test_console_entry_point_help():
     (["solve", "--iters", "0"], "max_iterations"),
     (["experiment", "--iters", "0"], "max_iterations"),
     (["solve", "--row-sums", "1,x", "--col-sums", "1"], "row sums: could not convert string"),
-    (["experiment", "--jobs", "0"], "jobs must be >= 1, got 0"),
-    (["experiment", "--jobs", "-3"], "jobs must be >= 1, got -3"),
+    (["experiment", "--jobs", "0", "--out-dir", "{tmp}/out"], "jobs must be >= 1, got 0"),
+    (["experiment", "--jobs", "-3", "--out-dir", "{tmp}/out"], "jobs must be >= 1, got -3"),
     # output paths that cannot be written
     (["experiment", "--runs", "2", "--out-dir", "{tmp}/file"], "File exists"),
     (["project", "{tmp}/t.txt", "--output", "{tmp}/missing/x.txt"], "No such file or directory"),
@@ -243,6 +243,10 @@ def test_console_entry_point_help():
     # targets whose projection overflows float64
     (["project", "{tmp}/t.txt", "--row-sums", "1e308,1e308,1e308,1e308",
       "--col-sums", "1e308,1e308,1e308,1e308,1e308"], "the projection has non-finite entries"),
+    (["solve", "--row-sums", "1e308,1e308", "--col-sums", "1e308,1e308"],
+     "the range-projected targets (s_bar, r_bar) have non-finite entries"),
+    # a run count that range() cannot measure
+    (["experiment", "--runs", "1" + "0" * 400, "--out-dir", "{tmp}/out"], "num_runs must be at most"),
 ])
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way to the error either
 def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys):
@@ -257,6 +261,7 @@ def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys)
     assert captured.out == ""
     assert captured.err.startswith(f"rowcolproj {argv[0]}: error: ")
     assert message in captured.err and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()  # an input error leaves no --out-dir
 
 
 def test_unmakeable_out_dir_fails_before_the_batch(tmp_path, capsys, monkeypatch):
@@ -342,12 +347,21 @@ def test_solve_prints_the_distance_of_experiment_run_zero(alg, case, capsys):
     ("experiment", {"s": "abc", "r": [1, 1]}, "s must hold numbers: could not convert"),
     ("experiment", {"s": [1, 1], "r": [1, 1], "init_low": -1e308, "init_high": 1e308},
      "init_high - init_low overflows float64"),
+    # integers beyond float64
+    ("experiment", {"s": [1, 1], "r": [1, 1], "init_low": -10 ** 400},
+     "init_low must be a finite number"),
+    ("solve", {"s": [1, 1], "r": [1, 1], "feasibility_tol": 10 ** 400},
+     "feasibility_tol must be a finite nonnegative number"),
+    # targets whose range projection overflows float64
+    ("experiment", {"s": [1e308, 1e308], "r": [1e308, 1e308]},
+     "the range-projected targets (s_bar, r_bar) have non-finite entries"),
     ("project", {"r": [1, 1]}, "the config has no s"),
     ("solve", {"r": [1, 1]}, "the config has no s"),
 ], ids=["unknown-key", "json-list", "missing-s", "fractional-iterations", "string-runs",
         "negative-tie-tol", "string-tol", "non-numeric-s", "bool-runs", "bool-iterations",
-        "bool-tol", "bool-targets", "string-s", "overflowing-init-width", "project-missing-s",
-        "solve-missing-s"])
+        "bool-tol", "bool-targets", "string-s", "overflowing-init-width", "huge-int-init",
+        "huge-int-tol", "overflowing-targets", "project-missing-s", "solve-missing-s"])
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way to the error either
 def test_bad_config_ends_with_one_line_error(command, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -361,6 +375,7 @@ def test_bad_config_ends_with_one_line_error(command, config, message, tmp_path,
     assert captured.out == ""
     assert captured.err.startswith(f"rowcolproj {command}: error: ")
     assert message in captured.err and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -48,7 +49,9 @@ def test_spec_validation():
                          ("feasibility_tol", float("nan")), ("feasibility_tol", "1e-9"),
                          ("feasibility_tol", None), ("distance_tie_tol", -1e-15),
                          ("init_low", "-1"), ("init_high", float("inf")), ("num_runs", True),
-                         ("seed", False), ("feasibility_tol", True), ("init_high", True)):
+                         ("seed", False), ("feasibility_tol", True), ("init_high", True),
+                         ("init_low", -10 ** 400), ("feasibility_tol", 10 ** 400),
+                         ("num_runs", sys.maxsize + 1)):
         with pytest.raises(ValueError, match=field):
             small_spec(**{field: value})
     assert small_spec(num_runs=np.int64(7)).num_runs == 7

@@ -43,7 +43,7 @@ def test_config_validation():
         SolverConfig(algorithm="newton")
     with pytest.raises(ValueError):
         SolverConfig(algorithm="DR", max_iterations=0)
-    for value in (-1.0, float("nan"), "1e-9", None, True):
+    for value in (-1.0, float("nan"), "1e-9", None, True, 10 ** 400):
         with pytest.raises(ValueError, match="feasibility_tol must be a finite nonnegative number"):
             SolverConfig(algorithm="DR", feasibility_tol=value)
     assert SolverConfig(algorithm="dyk").algorithm == "DYK"
