@@ -23,7 +23,10 @@ def round_half_away(values):
     values - trunc(values) and its double are exact float64 operations."""
     values = np.asarray(values, dtype=np.float64)
     whole = np.trunc(values)
-    return whole + np.trunc(2.0 * (values - whole))
+    # whole + trunc(2 (values - whole)) in place: two temporaries rather than three
+    twice = np.subtract(values, whole)
+    np.multiply(2.0, twice, out=twice)
+    return np.add(whole, np.trunc(twice, out=twice), out=whole)
 
 
 @dataclass(frozen=True)
@@ -55,13 +58,13 @@ class HyperBox:
         integer-restricted, then clamp to [lower, upper]."""
         return self._project(as_matrix(T, shape=self.shape, name="T"))
 
-    def _project(self, T):
-        """Unchecked projection of a matrix or of each matrix of a (B, m, n) stack."""
+    def _project(self, T, out=None):
+        """Unchecked projection of a matrix or of each matrix of a stack, into ``out`` if given."""
         if self.integer_restricted:
             T = round_half_away(T)
         # np.clip keeps a zero input that ties a zero bound of the other sign on
         # (B, 1, 1) stacks; np.maximum and np.minimum return the bound on every layout.
-        out = np.maximum(T, self.lower)
+        out = np.maximum(T, self.lower, out=out)
         return np.minimum(out, self.upper, out=out)
 
 

@@ -65,7 +65,7 @@ def load_config(path=None):
     source = resources.files("rowcolproj.data") / DEFAULT_CONFIG if path is None else Path(path)
     try:
         return json.loads(source.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long to read
         raise ValueError(f"cannot load config {path}: {exc}") from None
 
 
@@ -143,8 +143,15 @@ def cmd_experiment(args):
     # bad targets and a bad --jobs fail before --out-dir is made
     _build_problem(spec.s, spec.r, spec.case)
     _worker_count(args.jobs, spec.num_runs)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # fail before the batch, not after
-    records, summary = run_experiment(spec, jobs=args.jobs)
+    out_dir = Path(args.out_dir)
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)  # fail before the batch, not after
+    try:
+        records, summary = run_experiment(spec, jobs=args.jobs)
+    except BaseException:
+        for path in made:  # a failed batch leaves no directory it made; rmdir keeps any file
+            path.rmdir()
+        raise
     paths = emit_outputs(records, summary, args.out_dir)
     print(f"backend: {summary['backend']}")
     for name, count in summary["convergence_counts"].items():

@@ -21,7 +21,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -40,11 +39,11 @@ from .solvers import ALGORITHMS, BACKEND, SolverConfig, _check_box, _solve, run 
 SCHEMA_VERSION = 3
 
 # Float64 entries per engine call's stack of starts (2 MiB). The engine
-# keeps several stacks of that size alive: its state (T, and R for
+# keeps several stacks of that size alive: its state (T, and T + R for
 # Dykstra), both projections and the update's temporaries, and for an
 # integer box a saved copy of the state for its repeated-state exit.
 # tracemalloc peaks on 128 starts of 32x64, in stacks: convex 6 DR, 5 MAP
-# and 8 Dykstra; integer 7 DR, 6 MAP and 10 Dykstra. So this bounds a
+# and 7 Dykstra; integer 7 DR, 6 MAP and 10 Dykstra. So this bounds a
 # batch's memory whatever num_runs is; results do not depend on the blocking.
 BLOCK_ENTRIES = 2 ** 18
 
@@ -262,6 +261,8 @@ def run_experiment(spec, jobs=1):
     if workers == 1:
         parts = list(map(solve, blocks))
     else:
+        # imported here, so that serial runs do not pay for loading the process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(solve, blocks))
     records = [rec for part in parts for rec in part]

@@ -3,12 +3,17 @@
 All three schemes are driven by the same pair of projectors: the box
 projection P_A and the affine projection P_B onto prescribed scaled
 row/column sums. A start's state is (T_k,) for DR and MAP and
-(T_k, R_k) for Dykstra; the updates are:
+(T_k, W_k) = (T_k, T_k + R_k) for Dykstra; the updates are:
 
     DR:   T_{k+1} = T_k - P_A(T_k) + P_B(2 P_A(T_k) - T_k)
     MAP:  T_{k+1} = P_B(P_A(T_k))
-    Dyk:  A_{k+1} = P_A(T_k + R_k),  R_{k+1} = T_k + R_k - A_{k+1},
-          T_{k+1} = P_B(A_{k+1}),    R_0 = 0
+    Dyk:  A_{k+1} = P_A(W_k),  R_{k+1} = W_k - A_{k+1},
+          T_{k+1} = P_B(A_{k+1}),  W_{k+1} = T_{k+1} + R_{k+1},  R_0 = 0
+
+Every iteration makes one box call and one affine call, on a stack of
+the points that iteration needs: DR projects P_A(T_k) and
+2 P_A(T_k) - T_k onto B together, and Dykstra boxes T_k and W_k
+together and projects both results onto B.
 
 The monitored sequence is P_A(T_k) (which lies in the box), with the
 feasibility gap delta_k = ||P_A(T_k) - P_B(P_A(T_k))||_F evaluated for
@@ -120,18 +125,35 @@ def _solve(affine_set, box, T, cfg):
     stop = np.full(size, last)          # iteration of each start's final delta
     found = [None] * size
     active = np.arange(size)            # start index of each matrix in the stack
-    state = (T, np.zeros_like(T)) if alg == "DYK" else (T,)  # (T_k,), or (T_k, R_k)
+    # S is a copy: T_k, which DR updates in place, or Dykstra's (2B, m, n) stack of T_k
+    # and W_k, where W_0 = T_0 + R_0 with R_0 = 0 turns -0.0 into +0.0. The halves of
+    # Dykstra's stack swap roles each iteration; half t holds T_k.
+    S, t = np.concatenate((T, T + 0.0)) if alg == "DYK" else T.copy(), 0
+    # X, (2B, m, n), takes the box projection and DR's 2 P_A(T_k) - T_k, or for MAP a
+    # scratch half. One buffer, made again only when starts leave, keeps the heap from
+    # shrinking and regrowing (page faults) each iteration.
+    X = None
     saved, saved_at = (), 0             # each active start's state at iteration saved_at
     s_bar, r_bar = affine_set.projected_target
     for k in range(last + 1):
-        PA = box._project(state[0])
-        PB = affine_set._project(PA)
-        delta = frobenius_norm(PA - PB)
+        B = len(active)
+        halves = (slice(None, B), slice(B, None))
+        if X is None:
+            X = np.empty((2 * B,) + S.shape[1:])
+        box._project(S, out=X[:len(S)])
+        if alg == "DR":  # 2 P_A(T_k) - T_k goes to P_B together with P_A(T_k)
+            np.subtract(np.multiply(2.0, X[:B], out=X[B:]), S, out=X[B:])
+        Y = affine_set._project(X if alg == "DR" else X[:len(S)])
+        PA, PB = X[halves[t]], Y[halves[t]]
+        # P_A - P_B goes to a spent half: Dykstra's P_B(T_k), which then takes W_{k+1},
+        # or X's second half, which then takes DR's T_k - P_A
+        delta = frobenius_norm(np.subtract(PA, PB, out=PB if alg == "DYK" else X[B:]))
         deltas[active, k] = delta
         feasible = delta <= cfg.feasibility_tol
         if box.integer_restricted and feasible.any():
             feasible[feasible] = _exact_integer_sums(PA[feasible], s_bar, r_bar)
         done = feasible
+        state = (S[halves[t]], S[halves[1 - t]]) if alg == "DYK" else (S,)  # (T_k, W_k)
         if saved:
             # a repeated state has the P_A and delta of the saved one, so it is never feasible
             cycled = _repeated(state, saved)
@@ -141,29 +163,30 @@ def _solve(affine_set, box, T, cfg):
                 rows = active[cycled]
                 deltas[rows, k:] = deltas[rows][:, source]
                 done = feasible | cycled
-        if done.any():
+        leaving = done.any()
+        if leaving:
             for j, P in zip(active[feasible], PA[feasible]):
                 stop[j] = k
                 found[j] = P
             if done.all():
                 break
-            keep = ~done
-            active, PA, PB = active[keep], PA[keep], PB[keep]
-            state = tuple(S[keep] for S in state)
-            saved = tuple(S[keep] for S in saved)
         if k == last:
             break
         if box.integer_restricted and k > 0 and k & (k - 1) == 0:
-            saved, saved_at = tuple(S.copy() for S in state), k
+            saved, saved_at = tuple(half.copy() for half in state), k
         if alg == "DR":
-            state = (state[0] - PA + affine_set._project(2.0 * PA - state[0]),)
+            np.add(np.subtract(S, PA, out=X[B:]), Y[B:], out=S)
         elif alg == "MAP":
-            state = (PB,)
-        else:
-            W = state[0] + state[1]
-            AK = box._project(W)
-            state = (affine_set._project(AK), W - AK)
-            del W, AK  # not alive through the next iteration's projections
+            S = Y
+        else:  # R_{k+1} = W_k - A_{k+1} over A_{k+1}, W_{k+1} = T_{k+1} + R_{k+1} over P_B(T_k)
+            w = halves[1 - t]
+            np.add(Y[w], np.subtract(S[w], X[w], out=X[w]), out=PB)
+            S, t = Y, 1 - t
+        del Y, PA, PB, state  # not alive through the next iteration's projections
+        if leaving:  # done starts leave the next state and its saved copy
+            X, keep = None, ~done
+            active, S = active[keep], S[np.tile(keep, len(S) // B)]
+            saved = tuple(half[keep] for half in saved)
     return [
         SolverTrace(
             algorithm=alg,

@@ -247,6 +247,8 @@ def test_console_entry_point_help():
      "the range-projected targets (s_bar, r_bar) have non-finite entries"),
     # a run count that range() cannot measure
     (["experiment", "--runs", "1" + "0" * 400, "--out-dir", "{tmp}/out"], "num_runs must be at most"),
+    # a batch that cannot be allocated removes the --out-dir and the parents it made
+    (["experiment", "--iters", "1000000000000000", "--out-dir", "{tmp}/out/run"], "Unable to allocate"),
 ])
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way to the error either
 def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys):
@@ -357,14 +359,18 @@ def test_solve_prints_the_distance_of_experiment_run_zero(alg, case, capsys):
      "the range-projected targets (s_bar, r_bar) have non-finite entries"),
     ("project", {"r": [1, 1]}, "the config has no s"),
     ("solve", {"r": [1, 1]}, "the config has no s"),
+    # json.dumps cannot write an integer this long, so this config is the file's text
+    ("experiment", '{"s": [1, 1], "r": [1, 1], "seed": ' + "1" * 5001 + "}",
+     "config.json: Exceeds the limit (4300 digits)"),
 ], ids=["unknown-key", "json-list", "missing-s", "fractional-iterations", "string-runs",
         "negative-tie-tol", "string-tol", "non-numeric-s", "bool-runs", "bool-iterations",
         "bool-tol", "bool-targets", "string-s", "overflowing-init-width", "huge-int-init",
-        "huge-int-tol", "overflowing-targets", "project-missing-s", "solve-missing-s"])
+        "huge-int-tol", "overflowing-targets", "project-missing-s", "solve-missing-s",
+        "overlong-int-text"])
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way to the error either
 def test_bad_config_ends_with_one_line_error(command, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     argv = [command, "--config", str(path)]
     if command == "experiment":
         argv += ["--out-dir", str(tmp_path / "out")]

@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import subprocess
 import sys
 import tracemalloc
 
@@ -222,7 +224,7 @@ def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(monkeypatch):
             mapped.append([list(block) for block in iterables[-1]])
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     spec = small_spec(num_runs=10, max_iterations=30)
     records, summary = run_experiment(spec, jobs=1)
@@ -261,6 +263,13 @@ def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(monkeypatch):
         with pytest.raises(ValueError, match=message):
             run_experiment(spec, jobs=jobs)
     assert started == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    probe = "import sys, rowcolproj; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @settings(max_examples=8, deadline=None)

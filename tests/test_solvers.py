@@ -2,10 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rowcolproj.affine import make_affine_set
+from rowcolproj.affine import AffineMarginalSet, make_affine_set
 from rowcolproj.box import HyperBox, make_box
 from rowcolproj.linalg import frobenius_norm
 from rowcolproj.operator import ScaledMarginalOperator, unit_operator
@@ -94,6 +94,27 @@ def test_traces_are_bit_identical(alg):
     assert t1.first_feasible_iteration == t2.first_feasible_iteration
     if t1.converged:
         assert np.array_equal(t1.first_feasible_matrix, t2.first_feasible_matrix)
+
+
+@pytest.mark.parametrize("alg", ALGS)
+def test_each_iteration_makes_one_box_call_and_one_affine_call(alg, monkeypatch):
+    affine_set, box = demo_problem()
+    starts = np.random.default_rng(75).uniform(-100.0, 100.0, size=(3, 4, 5))
+    starts[0] = DEMO_SOLUTION  # feasible at iteration 0, so it leaves the stack at once
+    calls = {"box": 0, "affine": 0}
+
+    def counting(name, project):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return project(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(HyperBox, "_project", counting("box", HyperBox._project))
+    monkeypatch.setattr(AffineMarginalSet, "_project",
+                        counting("affine", AffineMarginalSet._project))
+    traces = run_batch(affine_set, box, starts, SolverConfig(algorithm=alg, max_iterations=4))
+    assert [len(trace.deltas) for trace in traces] == [1, 5, 5]
+    assert calls == {"box": 5, "affine": 5}
 
 
 @pytest.mark.parametrize("alg", ALGS)
@@ -206,7 +227,7 @@ def test_integer_sums_are_judged_against_the_range_projected_targets():
 
 
 def test_dr_and_map_keep_no_dykstra_correction():
-    # The state is (T,) for DR and MAP and (T, R) for Dykstra, so their peak
+    # The state is (T,) for DR and MAP and (T, T + R) for Dykstra, so their peak
     # memory lies at least half a stack of starts below Dykstra's.
     m, n = 32, 64
     rng = np.random.default_rng(74)
@@ -373,6 +394,43 @@ def test_integer_runs_that_repeat_a_state_keep_full_length_traces(
             assert_same_trace(run(affine_set, box, T0, cfg), reference)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(1, 4),
+    mode=st.sampled_from(OPERATOR_MODES),
+    integer=st.booleans(),
+    size=st.integers(1, 4),
+    max_iterations=st.integers(1, 30),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+# Dykstra must turn the -0.0 of this W_0 into +0.0, or its first feasible point differs
+@example(m=1, n=3, mode="sparse", integer=False, size=1, max_iterations=1, seed=21006)
+def test_signed_zeros_and_negative_bounds_match_the_reference_bit_for_bit(
+        m, n, mode, integer, size, max_iterations, seed):
+    # Bounds at or below zero, whose zeros carry either sign, and starts made of
+    # -0.0, +0.0 and a few small values: the stacked steps must keep every zero's sign.
+    rng = np.random.default_rng(seed)
+
+    def signed_zeros(a):
+        return np.where(a == 0.0, rng.choice([-0.0, 0.0], size=a.shape), a)
+
+    depth = rng.integers(0, 4, size=(m, n))
+    width = rng.integers(0, 4, size=(m, n))
+    box = HyperBox(lower=signed_zeros(-depth.astype(float)),
+                   upper=signed_zeros((width - depth).astype(float)), integer_restricted=integer)
+    M = (rng.integers(0, width + 1) - depth).astype(float)  # a point of the box
+    op = random_operator(rng, m, n, mode)
+    affine_set = make_affine_set(op, M @ op.e, M.T @ op.f)
+    starts = rng.choice([-0.0, 0.0, -0.5, 0.5, -1.0, 1.5, -3.0], size=(size, m, n))
+    for alg in ALGS:
+        cfg = SolverConfig(algorithm=alg, max_iterations=max_iterations)
+        for T0, trace in zip(starts, run_batch(affine_set, box, starts, cfg)):
+            reference = reference_run(affine_set, box, T0, cfg).trace
+            assert_same_trace(trace, reference)
+            assert_same_trace(run(affine_set, box, T0, cfg), reference)
+
+
 def test_demo_integer_runs_take_the_cycle_exit_and_keep_their_traces(monkeypatch):
     # Integer MAP settles on fixed points and DR and Dykstra enter cycles on
     # the bundled instance. A start that leaves the stack at a repeated state
@@ -384,9 +442,9 @@ def test_demo_integer_runs_take_the_cycle_exit_and_keep_their_traces(monkeypatch
     projected = [0]
     box_project = HyperBox._project
 
-    def counting_project(self, T):
+    def counting_project(self, T, out=None):
         projected[0] += T.shape[0]
-        return box_project(self, T)
+        return box_project(self, T, out=out)
 
     monkeypatch.setattr(HyperBox, "_project", counting_project)
     for alg in ALGS:
