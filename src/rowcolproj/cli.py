@@ -124,7 +124,7 @@ def cmd_solve(args):
                              f"but the targets imply {spec.m}x{spec.n}")
     else:
         T0 = draw_start(spec, 0)
-    (trace,) = _solve(affine_set, box, T0[None], spec.solver_config(args.alg))
+    _, (trace,) = _solve(affine_set, box, T0[None], spec.solver_config(args.alg))
     (result,) = _algorithm_results(spec, T0[None], [trace])
     for k, delta in enumerate(result.deltas):
         print(f"{k} {_fmt(delta)}")

@@ -224,13 +224,14 @@ def _worker_count(jobs, num_runs):
 
 
 def _run_block(spec, affine_set, box, indices):
-    """Solve the runs ``indices`` with one engine call per algorithm; _build_problem checked the problem."""
+    """Solve the runs ``indices`` with one engine call per algorithm; _build_problem checked the problem.
+    Returns the records and each algorithm's table of full-length delta rows."""
     starts = np.stack([draw_start(spec, i) for i in indices])
-    results = {
-        key: _algorithm_results(spec, starts, _solve(affine_set, box, starts,
-                                                     spec.solver_config(key)))
-        for key in ALGORITHMS
-    }
+    tables, results = {}, {}
+    for key in ALGORITHMS:
+        tables[key], traces = _solve(affine_set, box, starts, spec.solver_config(key))
+        results[key] = _algorithm_results(spec, starts, traces)
+        del traces  # with its found matrices, before the next engine call
     records = []
     for pos, run_index in enumerate(indices):
         run_results = {key: results[key][pos] for key in ALGORITHMS}
@@ -240,7 +241,7 @@ def _run_block(spec, affine_set, box, indices):
             feasibility_order=_order_label([(name, res.iterations) for name, res in converged], 0),
             distance_order=_order_label([(name, res.distance) for name, res in converged],
                                         spec.distance_tie_tol)))
-    return records
+    return records, tables
 
 
 def run_experiment(spec, jobs=1):
@@ -265,31 +266,8 @@ def run_experiment(spec, jobs=1):
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(solve, blocks))
-    records = [rec for part in parts for rec in part]
-    return records, summarize(records, spec)
-
-
-def _delta_statistics(records, spec):
-    """Per-iteration median/min/max of delta_k per algorithm.
-
-    Runs that stopped early carry their final delta forward, so every
-    run contributes a value at every iteration (a feasible run keeps
-    reporting its sub-tolerance gap).
-    """
-    length = spec.max_iterations + 1
-    stats = {}
-    for key in ALGORITHMS:
-        table = np.empty((len(records), length))
-        for row, rec in enumerate(records):
-            deltas = rec.results[key].deltas
-            table[row, :len(deltas)] = deltas
-            table[row, len(deltas):] = deltas[-1]
-        stats[DISPLAY_NAMES[key]] = {
-            "median": np.median(table, axis=0).tolist(),
-            "min": table.min(axis=0).tolist(),
-            "max": table.max(axis=0).tolist(),
-        }
-    return stats
+    records = [rec for part, _ in parts for rec in part]
+    return records, summarize(records, spec, [tables for _, tables in parts])
 
 
 def _count_labels(records, attr):
@@ -318,7 +296,20 @@ def dedup_solutions(records):
     }
 
 
-def summarize(records, spec):
+def summarize(records, spec, tables):
+    """The summary.json dict of ``records``; ``tables`` holds, per block in run order, each
+    algorithm's full-length delta table from the engine, and their join gives delta_stats."""
+    delta_stats = {}
+    for key in ALGORITHMS:
+        table = np.concatenate([block[key] for block in tables])
+        low, high = table.min(axis=0).tolist(), table.max(axis=0).tolist()
+        # the join is a fresh array, so the median may reorder it in place
+        delta_stats[DISPLAY_NAMES[key]] = {
+            "median": np.median(table, axis=0, overwrite_input=True).tolist(),
+            "min": low,
+            "max": high,
+        }
+        del table  # before the next join
     convergence = {
         DISPLAY_NAMES[key]: sum(1 for rec in records if rec.results[key].converged)
         for key in ALGORITHMS
@@ -343,7 +334,7 @@ def summarize(records, spec):
         "convergence_counts": convergence,
         "feasibility_order_counts": _count_labels(records, "feasibility_order"),
         "distance_order_counts": _count_labels(records, "distance_order"),
-        "delta_stats": _delta_statistics(records, spec),
+        "delta_stats": delta_stats,
     }
     if spec.case == "integer":
         summary["solutions"] = dedup_solutions(records)
@@ -357,7 +348,7 @@ def _fmt(x):
 def _solution_cell(solution):
     if solution is None:
         return ""
-    return " ".join(str(int(v)) for v in solution.reshape(-1))
+    return " ".join(map(str, solution.ravel().tolist()))
 
 
 def emit_outputs(records, summary, out_dir):

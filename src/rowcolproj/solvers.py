@@ -47,7 +47,8 @@ is elementwise or acts on each matrix of the stack alone, so a start's
 delta_k sequence and first feasible point are bit for bit the same
 whether it runs alone (:func:`run`) or inside any batch
 (:func:`run_batch`). A start leaves the stack at its first feasible or
-repeated state.
+repeated state. The engine also returns each start's full-length delta
+row, in which a feasible stop carries its final delta forward.
 """
 
 from dataclasses import dataclass
@@ -118,7 +119,8 @@ def _repeated(state, saved):
 
 
 def _solve(affine_set, box, T, cfg):
-    """Run cfg.algorithm from every start of the (B, m, n) stack T; one trace each."""
+    """Run cfg.algorithm from every start of the (B, m, n) stack T; returns the
+    (B, max_iterations + 1) table of full-length delta rows and one trace per start."""
     alg, last = cfg.algorithm, cfg.max_iterations
     size = T.shape[0]
     deltas = np.empty((size, last + 1))
@@ -187,9 +189,13 @@ def _solve(affine_set, box, T, cfg):
             X, keep = None, ~done
             active, S = active[keep], S[np.tile(keep, len(S) // B)]
             saved = tuple(half[keep] for half in saved)
-    return [
+    # a stopped row carries its final delta forward; a cycled row already holds its continuation
+    np.copyto(deltas, deltas[np.arange(size), stop][:, None],
+              where=np.arange(last + 1) > stop[:, None])
+    return deltas, [
         SolverTrace(
             algorithm=alg,
+            # a copy: a view would keep the whole row alive in every caller that holds a trace
             deltas=deltas[j, :stop[j] + 1].copy(),
             first_feasible_iteration=None if found[j] is None else int(stop[j]),
             first_feasible_matrix=found[j],
@@ -214,7 +220,7 @@ def run(affine_set: AffineMarginalSet, box: HyperBox, T0, cfg: SolverConfig):
     """Run cfg.algorithm from T0; see the module docstring for the updates."""
     T0 = as_matrix(T0, shape=affine_set.shape, name="T0")
     _check_box(affine_set, box)
-    return _solve(affine_set, box, T0[None], cfg)[0]
+    return _solve(affine_set, box, T0[None], cfg)[1][0]
 
 
 def run_batch(affine_set: AffineMarginalSet, box: HyperBox, starts, cfg: SolverConfig):
@@ -225,4 +231,4 @@ def run_batch(affine_set: AffineMarginalSet, box: HyperBox, starts, cfg: SolverC
     """
     starts = as_array(starts, 3, affine_set.shape, name="stack of starts")
     _check_box(affine_set, box)
-    return _solve(affine_set, box, starts, cfg)
+    return _solve(affine_set, box, starts, cfg)[1]

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rowcolproj import harness
 from rowcolproj.affine import make_affine_set
 from rowcolproj.box import make_box
 from rowcolproj.harness import (
+    DISPLAY_NAMES,
     AlgorithmResult,
     ExperimentSpec,
     RunRecord,
@@ -25,7 +27,7 @@ from rowcolproj.harness import (
 )
 from rowcolproj.linalg import frobenius_norm
 from rowcolproj.operator import unit_operator
-from rowcolproj.solvers import SolverConfig, run
+from rowcolproj.solvers import ALGORITHMS, SolverConfig, run
 
 from _support import DEMO_COL_SUMS, DEMO_ROW_SUMS, in_box, reference_run, same_bits
 
@@ -202,14 +204,14 @@ def test_parallel_jobs_equal_sequential():
             assert np.array_equal(a.results[key].deltas, b.results[key].deltas)
 
 
-def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replaces the process pool with one that maps in this process; gives
+    the lists of the pool sizes started and of the blocks mapped."""
     started = []
     mapped = []
 
     class SerialPool:
-        """Stands in for the process pool: records its size and the blocks
-        it is given, maps in this process."""
-
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -225,6 +227,11 @@ def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return started, mapped
+
+
+def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(serial_pool, monkeypatch):
+    started, mapped = serial_pool
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     spec = small_spec(num_runs=10, max_iterations=30)
     records, summary = run_experiment(spec, jobs=1)
@@ -347,16 +354,49 @@ def test_dedup_counts_identical_matrices_once():
     assert census["total_unique"] == 2
 
 
-def test_delta_stats_have_full_length_and_padding():
-    spec = small_spec(num_runs=10, max_iterations=30)
-    _, summary = run_experiment(spec)
-    for name in ("DR", "MAP", "Dyk"):
-        stats = summary["delta_stats"][name]
-        assert len(stats["median"]) == 31
-        assert len(stats["min"]) == 31
-        assert len(stats["max"]) == 31
-        # medians are nonincreasing-ish at the tail once runs have stopped
-        assert stats["min"][-1] >= 0.0
+def test_delta_stats_have_full_length_and_padding(serial_pool, monkeypatch):
+    # The statistics join the blocks' engine tables: blocks of 3, 3 and 1 runs,
+    # serial and pooled, must give the statistics of full-length reference
+    # traces padded by hand with their final delta.
+    _, mapped = serial_pool
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "BLOCK_ENTRIES", 3 * 4 * 5)
+    for case in ("convex", "integer"):
+        spec = small_spec(case=case, num_runs=7, max_iterations=60)
+        affine_set, box = harness._build_problem(spec.s, spec.r, case)
+        expected = {}
+        for key in ALGORITHMS:
+            rows = [reference_run(affine_set, box, draw_start(spec, i), spec.solver_config(key))
+                    .trace.deltas for i in range(spec.num_runs)]
+            table = np.array([np.concatenate((d, np.full(61 - len(d), d[-1]))) for d in rows])
+            expected[DISPLAY_NAMES[key]] = {"median": np.median(table, axis=0),
+                                            "min": table.min(axis=0), "max": table.max(axis=0)}
+        for jobs in (1, 2):
+            records, summary = run_experiment(spec, jobs=jobs)
+            for name, stats in summary["delta_stats"].items():
+                assert list(stats) == ["median", "min", "max"]
+                for stat, values in stats.items():
+                    assert same_bits(np.array(values), expected[name][stat])
+        assert mapped.pop() == [[0, 1, 2], [3, 4, 5], [6]]
+    # integer MAP runs that do not converge stop at a fixed point: their rows are cycled ones
+    assert not all(rec.results["MAP"].converged for rec in records)
+
+
+def test_run_block_frees_each_algorithms_traces_before_the_next_engine_call(monkeypatch):
+    # a trace list kept through the next engine call keeps its found matrices alive
+    spec = small_spec(num_runs=12)
+    affine_set, box = harness._build_problem(spec.s, spec.r, spec.case)
+    found, solve = [], harness._solve
+
+    def watched(*args):
+        assert all(ref() is None for ref in found)
+        table, traces = solve(*args)
+        found.extend(weakref.ref(t.first_feasible_matrix) for t in traces if t.converged)
+        return table, traces
+
+    monkeypatch.setattr(harness, "_solve", watched)
+    harness._run_block(spec, affine_set, box, range(spec.num_runs))
+    assert len(found) > 2 * spec.num_runs
 
 
 def test_emit_outputs_files(tmp_path):

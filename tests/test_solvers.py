@@ -9,7 +9,7 @@ from rowcolproj.affine import AffineMarginalSet, make_affine_set
 from rowcolproj.box import HyperBox, make_box
 from rowcolproj.linalg import frobenius_norm
 from rowcolproj.operator import ScaledMarginalOperator, unit_operator
-from rowcolproj.solvers import SolverConfig, run, run_batch
+from rowcolproj.solvers import SolverConfig, _solve, run, run_batch
 
 from _support import (
     DEMO_COL_SUMS,
@@ -20,6 +20,7 @@ from _support import (
     in_box,
     random_operator,
     reference_run,
+    same_bits,
 )
 
 ALGS = ("DR", "MAP", "DYK")
@@ -94,6 +95,21 @@ def test_traces_are_bit_identical(alg):
     assert t1.first_feasible_iteration == t2.first_feasible_iteration
     if t1.converged:
         assert np.array_equal(t1.first_feasible_matrix, t2.first_feasible_matrix)
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_engine_table_rows_are_the_traces_with_their_final_delta_carried_forward(integer):
+    # feasible, capped and (integer) cycled rows; the experiment's statistics read this table
+    affine_set, box = demo_problem(integer)
+    starts = np.random.default_rng(76).uniform(-100.0, 100.0, size=(20, 4, 5))
+    starts[0] = DEMO_SOLUTION
+    for alg in ALGS:
+        table, traces = _solve(affine_set, box, starts, SolverConfig(algorithm=alg, max_iterations=60))
+        assert table.shape == (20, 61)
+        for row, trace in zip(table, traces):
+            tail = np.full(61 - len(trace.deltas), trace.deltas[-1])
+            assert same_bits(row, np.concatenate((trace.deltas, tail)))
+            assert trace.deltas.base is None  # a copy, so a held trace does not pin its row
 
 
 @pytest.mark.parametrize("alg", ALGS)

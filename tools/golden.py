@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-EXPERIMENT_FILES = ("runs.csv", "summary.json", "deltas.csv")
+EXPERIMENT_FILES = ("runs.csv", "summary.json", "deltas.csv", "schema.json")
 # A fixed 4x5 matrix for the project cases and the solve --input cases.
 PROJECT_MATRIX = "4 5\n1 -2 3.5 0 7\n0.25 4 -1 2 9\n3 3 3 3 3\n-6 0.5 8 1 -4\n"
 PROJECT_FLAGS = (
