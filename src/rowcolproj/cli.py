@@ -8,6 +8,7 @@ digits so files round-trip exactly.
 import argparse
 import json
 import sys
+from contextlib import suppress
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
@@ -15,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .affine import make_affine_set
-from .harness import (ExperimentSpec, _algorithm_results, _build_problem, _fmt, _worker_count,
-                      draw_start, emit_outputs, run_experiment)
+from .harness import (ExperimentSpec, _algorithm_results, _build_problem, _fmt, draw_start,
+                      emit_outputs, run_experiment)
 from .linalg import as_matrix, as_vector
 from .operator import ScaledMarginalOperator
 from .solvers import ALGORITHMS, _solve
@@ -140,17 +141,15 @@ def cmd_solve(args):
 
 def cmd_experiment(args):
     spec = _spec_from_args(args)
-    # bad targets and a bad --jobs fail before --out-dir is made
-    _build_problem(spec.s, spec.r, spec.case)
-    _worker_count(args.jobs, spec.num_runs)
     out_dir = Path(args.out_dir)
     made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)  # fail before the batch, not after
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)  # fail before the batch, not after
         records, summary = run_experiment(spec, jobs=args.jobs)
     except BaseException:
-        for path in made:  # a failed batch leaves no directory it made; rmdir keeps any file
-            path.rmdir()
+        for path in made:  # a failed command leaves no directory it made; rmdir keeps any file
+            with suppress(OSError):  # one a failed mkdir did not make, or one that holds a file
+                path.rmdir()
         raise
     paths = emit_outputs(records, summary, args.out_dir)
     print(f"backend: {summary['backend']}")
@@ -213,7 +212,7 @@ def build_parser():
     _add_spec_flags(p_exp)
     p_exp.add_argument("--out-dir", default="experiment-out")
     p_exp.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (at most the CPU count are started)")
+                       help="worker processes (at most one per usable CPU)")
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 

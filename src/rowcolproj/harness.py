@@ -190,7 +190,7 @@ def _build_problem(s, r, case):
             f"nonnegative ones: s_bar = ({', '.join(map(_fmt, s_bar))}), "
             f"r_bar = ({', '.join(map(_fmt, r_bar))})")
     box = make_box(s_bar, r_bar, integer_restricted=(case == "integer"))
-    _check_box(affine_set, box)  # before any caller writes a file or starts a worker
+    _check_box(affine_set, box)  # before a worker starts
     return affine_set, box
 
 
@@ -216,11 +216,13 @@ def _algorithm_results(spec, starts, trace_list):
 
 
 def _worker_count(jobs, num_runs):
-    """Worker processes for ``jobs``: never more than the CPU count or num_runs; jobs < 1 is refused."""
+    """Worker processes for ``jobs``: never more than num_runs or the CPUs this process may
+    use (its affinity mask where the OS has one, else the CPU count); jobs < 1 is refused."""
     jobs = as_integer(jobs, name="jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1, num_runs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+    return min(jobs, cpus, num_runs)
 
 
 def _run_block(spec, affine_set, box, indices):
@@ -251,7 +253,7 @@ def run_experiment(spec, jobs=1):
     blocks of at most BLOCK_ENTRIES start entries and at most
     ceil(num_runs / workers) runs; each block is one stacked engine call
     per algorithm. With ``jobs`` > 1 the blocks go to a pool of at most
-    ``jobs`` worker processes, and never more than the CPU count.
+    ``jobs`` worker processes, and never more than the CPUs this process may use.
     """
     workers = _worker_count(jobs, spec.num_runs)
     affine_set, box = _build_problem(spec.s, spec.r, spec.case)

@@ -82,25 +82,22 @@ def as_matrix(T, shape=None, name="matrix"):
 def frobenius_norm(T):
     """Frobenius norm sqrt(sum_ij T_ij^2) of a matrix, or of each matrix of a stack.
 
-    A matrix gives a float; a (B, m, n) stack gives B norms, each equal
-    bit for bit to the norm of its matrix alone.
+    One reduction over the last two axes serves both: a matrix gives a
+    numpy float64 (a float), and a (B, m, n) stack gives B norms, each
+    equal bit for bit to the norm of its matrix alone.
     """
-    T = np.asarray(T, dtype=np.float64)
-    if T.ndim < 3:
-        return float(np.sqrt(np.sum(np.square(T))))
-    return np.sqrt(np.sum(np.square(T), axis=(-2, -1)))
+    return np.sqrt(np.sum(np.square(np.asarray(T, dtype=np.float64)), axis=(-2, -1)))
 
 
 def spectral_norm(T):
     """Largest singular value (LAPACK SVD) of a matrix, or of each matrix of a stack.
 
-    A matrix gives a float; a (B, m, n) stack gives B norms, each equal
+    One call over the last two axes serves both: a matrix gives a numpy
+    float64 (a float), and a (B, m, n) stack gives B norms, each equal
     bit for bit to the norm of its matrix alone (LAPACK runs on each
     matrix separately). The zero matrix gives 0.0.
     """
     T = np.asarray(T, dtype=np.float64)
     if T.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of matrices, got shape {T.shape}")
-    if T.ndim == 2:
-        return float(np.linalg.norm(T, 2))
     return np.linalg.norm(T, 2, axis=(-2, -1))

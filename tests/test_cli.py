@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rowcolproj import cli
+from rowcolproj import cli, harness
 from rowcolproj.affine import make_affine_set
 from rowcolproj.cli import format_matrix, load_config, main, read_matrix
 from rowcolproj.harness import ExperimentSpec, _fmt, run_experiment
@@ -213,6 +213,27 @@ def test_experiment_repeat_invocations_byte_identical(tmp_path):
     assert (tmp_path / "a" / "runs.csv").read_bytes() == (tmp_path / "b" / "runs.csv").read_bytes()
 
 
+def test_experiment_builds_and_checks_its_problem_once(tmp_path, monkeypatch):
+    # run_experiment alone counts the workers and builds the problem; the
+    # --out-dir rollback, not a second build, covers the input errors
+    calls = {"_build_problem": 0, "_worker_count": 0}
+    originals = {name: getattr(harness, name) for name in calls}
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    for module in (harness, cli):  # every reference the package holds
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name))
+    rc = main(["experiment", "--runs", "3", "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert calls == {"_build_problem": 1, "_worker_count": 1}
+
+
 def test_console_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "rowcolproj.cli", "--help"],
                           capture_output=True, text=True)
@@ -249,6 +270,8 @@ def test_console_entry_point_help():
     (["experiment", "--runs", "1" + "0" * 400, "--out-dir", "{tmp}/out"], "num_runs must be at most"),
     # a batch that cannot be allocated removes the --out-dir and the parents it made
     (["experiment", "--iters", "1000000000000000", "--out-dir", "{tmp}/out/run"], "Unable to allocate"),
+    # an --out-dir whose last name is too long, after mkdir made its parents
+    (["experiment", "--out-dir", "{tmp}/out/run/" + "x" * 300], "File name too long"),
 ])
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way to the error either
 def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys):
@@ -288,11 +311,14 @@ def test_inconsistent_targets_error_names_the_range_projection(tmp_path, capsys)
     assert "range-projected targets have negative entries" in err
     assert "s_bar = (-2.5, 7.5), r_bar = (2.5, 2.5)" in err
     config = tmp_path / "inconsistent.json"
-    config.write_text(json.dumps({"s": [0, 10], "r": [0, 0], "num_runs": 3}))
-    rc = main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    assert "s_bar = (-2.5, 7.5)" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # the failed batch removes the --out-dir and every parent it made
+    for targets, out_dir in (({"s": [0, 10], "r": [0, 0], "num_runs": 3}, "out"),
+                             ({"s": [0, 10], "r": [0, 0]}, "out/run")):
+        config.write_text(json.dumps(targets))
+        rc = main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / out_dir)])
+        assert rc == 2
+        assert "s_bar = (-2.5, 7.5)" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run").exists() and not (tmp_path / "out").exists()
 
 
 def test_too_large_integer_box_leaves_no_out_dir(tmp_path, capsys):

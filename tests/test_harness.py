@@ -230,9 +230,14 @@ def serial_pool(monkeypatch):
     return started, mapped
 
 
+def allow_cpus(monkeypatch, count):
+    """Let this process use ``count`` CPUs, as its affinity mask would."""
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(serial_pool, monkeypatch):
     started, mapped = serial_pool
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    allow_cpus(monkeypatch, 3)
     spec = small_spec(num_runs=10, max_iterations=30)
     records, summary = run_experiment(spec, jobs=1)
     for jobs, workers in ((2, 2), (3, 3), (1000, 3)):
@@ -262,6 +267,13 @@ def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(serial_pool, monke
     with pytest.raises(ValueError, match="range-projected"):
         run_experiment(ExperimentSpec(s=[0.0, 10.0], r=[0.0, 0.0], num_runs=4), jobs=2)
     assert started == [] and mapped == []
+    # one usable CPU starts no pool, even where the machine has more
+    allow_cpus(monkeypatch, 1)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    run_experiment(spec, jobs=2)
+    assert started == []
+    # without an affinity mask the CPU count caps, and an unknown count means one
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     run_experiment(spec, jobs=4)
     assert started == []
@@ -359,7 +371,7 @@ def test_delta_stats_have_full_length_and_padding(serial_pool, monkeypatch):
     # serial and pooled, must give the statistics of full-length reference
     # traces padded by hand with their final delta.
     _, mapped = serial_pool
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    allow_cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "BLOCK_ENTRIES", 3 * 4 * 5)
     for case in ("convex", "integer"):
         spec = small_spec(case=case, num_runs=7, max_iterations=60)

@@ -8,14 +8,17 @@ Usage (from anywhere inside the repository):
 The script checks REV out into a temporary git worktree, runs every case
 below with the command line of each tree (``python -m rowcolproj.cli``
 with that tree's ``src`` first on ``PYTHONPATH``), and compares the
-output files byte for byte and the exit status. Both trees run on the
+exit status, the stderr and the output files byte for byte (for an
+experiment, also whether its --out-dir exists). Both trees run on the
 same machine, so the check does not depend on its BLAS kernels, as a
 committed hash would.
 
 The cases: the default 1000-run convex and integer experiments; two
 300-run integer batches on inconsistent targets; a 40-run 32x48 integer
 batch and a 2-run, 50-iteration 256x384 convex batch, each at --jobs 1
-and 2; the stdout of 36 single ``solve`` runs from drawn starts and of
+and 2; an experiment on the targets s = (0, 10), r = (0, 0), whose range
+projection has negative entries (exit status 2, one stderr line, no
+--out-dir); the stdout of 36 single ``solve`` runs from drawn starts and of
 two from a fixed 4x5 start matrix (``--input``, convex and integer);
 and the stdout of eight ``project`` calls of that matrix (default
 targets, given targets, a target shape the matrix does not have,
@@ -88,6 +91,8 @@ def configs():
     yield "integer32x48", {**sample_targets(32, 48), "case": "integer", "num_runs": 40}
     yield "convex256x384", {**sample_targets(256, 384), "case": "convex", "num_runs": 2,
                             "max_iterations": 50}
+    # nonnegative targets whose range projection is not: an input error
+    yield "negative-projection", {"s": [0, 10], "r": [0, 0]}
 
 
 def cases(work):
@@ -117,16 +122,17 @@ def cases(work):
 
 
 def run_case(tree, args, files, out_dir):
-    """Exit status and output bytes of one case in ``tree``; ``out_dir`` receives experiment files."""
+    """Exit status, stderr and output bytes of one case in ``tree``; ``out_dir`` receives
+    experiment files."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     if files is not None:
         args = [*args, "--out-dir", str(out_dir)]
     done = subprocess.run([sys.executable, "-m", "rowcolproj.cli", *args], env=env,
                           capture_output=True)
     if files is None:
-        return done.returncode, [done.stdout]
-    return done.returncode, [(out_dir / name).read_bytes() if (out_dir / name).exists() else None
-                             for name in files]
+        return done.returncode, done.stderr, [done.stdout]
+    return done.returncode, done.stderr, [out_dir.exists()] + [
+        (out_dir / name).read_bytes() if (out_dir / name).exists() else None for name in files]
 
 
 def schema_version(tree):
