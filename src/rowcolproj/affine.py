@@ -15,7 +15,7 @@ The classical sets are inputs to it, not separate code paths:
   all-ones targets.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,14 @@ class AffineMarginalSet:
     op: ScaledMarginalOperator
     target: MarginalPair
     projected_target: MarginalPair
-    consistency_residual: float
+    consistency_residual: float = field(init=False)
+    # rows (s_bar, r_bar) and (s, r), each as one vector like the output of A
+    target_vectors: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        both = np.stack((np.concatenate(self.projected_target), np.concatenate(self.target)))
+        object.__setattr__(self, "target_vectors", frozen_copy(both))
+        object.__setattr__(self, "consistency_residual", float(np.linalg.norm(both[1] - both[0])))
 
     @property
     def shape(self):
@@ -45,11 +52,16 @@ class AffineMarginalSet:
         return self._project(as_matrix(T, shape=self.shape, name="T"))
 
     def _project(self, T):
-        """Unchecked projection of a matrix or of each matrix of a (B, m, n) stack."""
-        s, r = self.target
-        row_part, col_part = self.op._apply(T)
-        K = self.op._pinv(row_part - s, col_part - r)
-        return np.subtract(T, K, out=K)
+        """Unchecked projection of a matrix or of each matrix of a (B, m, n) stack:
+        A applied to T, then the A^+ correction."""
+        return self._correct(T, self.op._apply(T) - self.target_vectors[1])
+
+    def _correct(self, T, residual, out=None):
+        """T - A^+(A(T) - (s, r)) from the residual A(T) - (s, r), as one vector per matrix,
+        into ``out`` if given."""
+        m = self.op.m
+        K = self.op._pinv(residual[..., :m], residual[..., m:])
+        return np.subtract(T, K, out=K if out is None else out)
 
 
 def make_affine_set(op, s, r):
@@ -65,10 +77,4 @@ def make_affine_set(op, s, r):
     r = frozen_copy(as_vector(r, dim=op.n, name="r"))
     target = MarginalPair(s, r)
     projected = MarginalPair(*map(frozen_copy, op.project_range(target)))
-    residual = float(
-        np.sqrt(
-            np.sum((s - projected.row_part) ** 2) + np.sum((r - projected.col_part) ** 2)
-        )
-    )
-    return AffineMarginalSet(op=op, target=target, projected_target=projected,
-                             consistency_residual=residual)
+    return AffineMarginalSet(op=op, target=target, projected_target=projected)

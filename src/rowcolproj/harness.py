@@ -36,14 +36,14 @@ from .operator import unit_operator
 # ``harness.run`` at run time (perfbench/tracing.py) still find it.
 from .solvers import ALGORITHMS, BACKEND, SolverConfig, _check_box, _solve, run  # noqa: F401
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # Float64 entries per engine call's stack of starts (2 MiB). The engine
 # keeps several stacks of that size alive: its state (T, and T + R for
-# Dykstra), both projections and the update's temporaries, and for an
-# integer box a saved copy of the state for its repeated-state exit.
-# tracemalloc peaks on 128 starts of 32x64, in stacks: convex 6 DR, 5 MAP
-# and 7 Dykstra; integer 7 DR, 6 MAP and 10 Dykstra. So this bounds a
+# Dykstra), the box projection, the update's correction and temporaries,
+# and for an integer box a saved copy of the state for its repeated-state
+# exit. tracemalloc peaks on 128 starts of 32x64, in stacks: convex 4.3 DR,
+# 3.3 MAP and 5.3 Dykstra; integer 6.2, 5.2 and 10.2. So this bounds a
 # batch's memory whatever num_runs is; results do not depend on the blocking.
 BLOCK_ENTRIES = 2 ** 18
 
@@ -269,7 +269,8 @@ def run_experiment(spec, jobs=1):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(solve, blocks))
     records = [rec for part, _ in parts for rec in part]
-    return records, summarize(records, spec, [tables for _, tables in parts])
+    return records, summarize(records, spec, [tables for _, tables in parts],
+                              affine_set.projected_target)
 
 
 def _count_labels(records, attr):
@@ -298,9 +299,37 @@ def dedup_solutions(records):
     }
 
 
-def summarize(records, spec, tables):
+def integer_witness(s_bar, r_bar):
+    """A nonnegative integer matrix with row sums s_bar and column sums r_bar, or None
+    when there is none: a fractional or negative sum, or unequal totals.
+
+    The northwest-corner rule of the transportation problem (Dantzig, Linear
+    Programming and Extensions, 1963): set entry (i, j) to the smaller of what row i
+    and column j still lack, then move down if row i is met, else right, in at most
+    m + n - 1 steps. Entry (i, j) is at most min(s_bar_i, r_bar_j), so the matrix
+    lies in the integer box of make_box(s_bar, r_bar).
+    """
+    rows, cols = [int(v) for v in s_bar], [int(v) for v in r_bar]
+    if (np.any(s_bar != rows) or np.any(r_bar != cols) or min(rows + cols) < 0
+            or sum(rows) != sum(cols)):
+        return None
+    witness = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    i = j = 0
+    while i < len(rows) and j < len(cols):
+        witness[i, j] = step = min(rows[i], cols[j])
+        rows[i] -= step
+        cols[j] -= step
+        if rows[i] == 0:
+            i += 1
+        else:
+            j += 1
+    return witness
+
+
+def summarize(records, spec, tables, projected_target):
     """The summary.json dict of ``records``; ``tables`` holds, per block in run order, each
-    algorithm's full-length delta table from the engine, and their join gives delta_stats."""
+    algorithm's full-length delta table from the engine, and their join gives delta_stats.
+    ``projected_target`` is (s_bar, r_bar), whose integer witness the integer case reports."""
     delta_stats = {}
     for key in ALGORITHMS:
         table = np.concatenate([block[key] for block in tables])
@@ -324,9 +353,14 @@ def summarize(records, spec, tables):
         "backend": BACKEND,
         "conventions": {
             "rounding_tie_rule": ROUNDING_TIE_RULE,
-            "delta_definition": "frobenius norm of P_box(T_k) minus P_affine(P_box(T_k))",
+            "delta_definition": "frobenius norm of A^+(A(P_box(T_k)) - (s_bar, r_bar)), which is "
+                                "P_box(T_k) minus P_affine(P_box(T_k)), from the row and column "
+                                "sums of P_box(T_k)",
             "dykstra_delta_point": "P_box(T_k), same criterion as DR and MAP",
             "integer_feasibility": "delta within tolerance plus exact integer row/column sums",
+            "integer_feasible": "integer case: whether an integer matrix in the box has the sums "
+                                "(s_bar, r_bar), by the northwest-corner rule of the transportation "
+                                "problem (Dantzig 1963); fractional sums admit none",
             "delta_padding": "stopped runs carry their final delta forward in the statistics",
             "rng": "PCG64 with SeedSequence(seed, spawn_key=(run_index,)) per run",
             "init_interval": "half-open [init_low, init_high)",
@@ -339,6 +373,7 @@ def summarize(records, spec, tables):
         "delta_stats": delta_stats,
     }
     if spec.case == "integer":
+        summary["integer_feasible"] = integer_witness(*projected_target) is not None
         summary["solutions"] = dedup_solutions(records)
     return summary
 
@@ -405,7 +440,8 @@ def emit_outputs(records, summary, out_dir):
                 "columns": {
                     "run_index": "0-based run number",
                     "<alg>_converged": "true/false, feasibility reached within max_iterations",
-                    "<alg>_iterations": "first iteration k with delta_k within tolerance (empty if none)",
+                    "<alg>_iterations": "first iteration k with delta_k within tolerance (empty if none); "
+                                        "delta_k = ||A^+(A(P_box(T_k)) - (s_bar, r_bar))||_F",
                     "<alg>_distance": "largest singular value (LAPACK SVD) of start minus first feasible point, 17 significant digits",
                     "feasibility_order": "converged algorithms ordered by iterations; '=' joins exact ties; 'None' if no algorithm converged",
                     "distance_order": "converged algorithms ordered by distance; '=' joins values within distance_tie_tol",
@@ -421,8 +457,9 @@ def emit_outputs(records, summary, out_dir):
                 },
             },
             SUMMARY_JSON: {
-                "description": "order-label counts, per-iteration delta statistics, "
-                               "solution census (integer case), config echo and conventions",
+                "description": "order-label counts, per-iteration delta statistics, integer "
+                               "feasibility of (s_bar, r_bar) and solution census (integer case), "
+                               "config echo and conventions",
             },
         },
         "floating_point_format": "CSV floats use 17 significant digits; JSON floats are shortest round-trip representations",

@@ -38,7 +38,7 @@ class MarginalPair(NamedTuple):
 
 @dataclass(frozen=True)
 class ScaledMarginalOperator:
-    """Immutable weight pair (e, f) with cached squared norms and zero and unit flags."""
+    """Immutable weight pair (e, f) with cached squared norms, zero and unit flags and norm factors."""
 
     e: np.ndarray
     f: np.ndarray
@@ -47,6 +47,7 @@ class ScaledMarginalOperator:
     e_is_zero: bool = field(init=False)
     f_is_zero: bool = field(init=False)
     unit: bool = field(init=False)
+    norm_factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         e = frozen_copy(as_vector(self.e, name="e"))
@@ -58,6 +59,17 @@ class ScaledMarginalOperator:
         object.__setattr__(self, "e_is_zero", bool(np.all(e == 0.0)))
         object.__setattr__(self, "f_is_zero", bool(np.all(f == 0.0)))
         object.__setattr__(self, "unit", bool(np.all(e == 1.0) and np.all(f == 1.0)))
+        # the factors of _pinv_norm_sq; like _pinv, they divide by an |e|^2 that underflows to 0
+        a, b, m = np.float64(self.e_norm_sq), np.float64(self.f_norm_sq), self.m
+        scale, fold = np.zeros(m + self.n), np.zeros((2, m + self.n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale[:m] = 0.0 if self.e_is_zero else a ** -0.5
+            scale[m:] = 0.0 if self.f_is_zero else b ** -0.5
+            if not (self.e_is_zero or self.f_is_zero):
+                c = 2.0 * a + b
+                fold[0] = np.concatenate((f * np.sqrt(c / a), e * -np.sqrt(a / c))) / (a + b)
+                fold[1, m:] = e * np.sqrt(2.0 / (b * c))
+        object.__setattr__(self, "norm_factors", (frozen_copy(scale), frozen_copy(fold)))
 
     @property
     def n(self):
@@ -79,11 +91,13 @@ class ScaledMarginalOperator:
 
     def apply(self, T):
         """A(T) = (T e, T^T f): e-weighted row sums and f-weighted column sums."""
-        return MarginalPair(*self._apply(as_matrix(T, shape=self.shape, name="T")))
+        both = self._apply(as_matrix(T, shape=self.shape, name="T"))
+        return MarginalPair(both[:self.m], both[self.m:])
 
     def _apply(self, T):
-        """Unchecked A on a matrix or on each matrix of a (B, m, n) stack."""
-        return T @ self.e, np.swapaxes(T, -1, -2) @ self.f
+        """Unchecked A on a matrix or on each matrix of a (B, m, n) stack, as one vector
+        (T e, T^T f) of length m + n per matrix."""
+        return np.concatenate((T @ self.e, np.swapaxes(T, -1, -2) @ self.f), axis=-1)
 
     def pinv_apply(self, p):
         """Moore-Penrose inverse A^+(y, x), by the exact four-case formula.
@@ -105,7 +119,8 @@ class ScaledMarginalOperator:
         Stacked pairs give, pair by pair, the same bits as single ones:
         every step is elementwise, and np.vecdot takes one dot product
         per pair as the 1-d product f @ y does. Unit weights skip the
-        products u e^T and f v^T, whose factors of 1.0 change no bit.
+        products (f.y/d) f, (e.x/d) e, u e^T and f v^T, whose factors
+        of 1.0 change no bit.
         """
         e, f = self.e, self.f
         if self.e_is_zero and self.f_is_zero:
@@ -115,11 +130,26 @@ class ScaledMarginalOperator:
         if self.f_is_zero:
             return y[..., :, None] * e / self.e_norm_sq
         denom = self.e_norm_sq + self.f_norm_sq
-        u = (y - (np.vecdot(y, f) / denom)[..., None] * f) / self.e_norm_sq
-        v = (x - (np.vecdot(x, e) / denom)[..., None] * e) / self.f_norm_sq
+        fy, ex = (np.vecdot(y, f) / denom)[..., None], (np.vecdot(x, e) / denom)[..., None]
+        u = (y - (fy if self.unit else fy * f)) / self.e_norm_sq
+        v = (x - (ex if self.unit else ex * e)) / self.f_norm_sq
         if self.unit:
             return np.add(u[..., :, None], v[..., None, :])
         return u[..., :, None] * e + f[:, None] * v[..., None, :]
+
+    def _pinv_norm_sq(self, z):
+        """||A^+(y, x)||_F^2 for z = (y, x), or per row of a stack z (B, m + n), in O(m + n).
+
+        With a = |e|^2, b = |f|^2, c = 2a + b, d = a + b, p = f.y and q = e.x it is
+        |y|^2/a + |x|^2/b - (p^2 + q^2 - (a p + b q)^2/d^2)/(a b) = |(y/sqrt(a),
+        x/sqrt(b))|^2 - (sqrt(c/a) p/d - sqrt(a/c) q/d)^2 - 2 q^2/(b c); norm_factors
+        hold these positive factors. With e = 0 it is |x|^2/b, with f = 0 |y|^2/a.
+        Every step is elementwise or a per-row np.vecdot (same bits in any stack);
+        rounding can leave a value a little below zero, for a norm of 0.
+        """
+        scale, fold = self.norm_factors
+        scaled, folded = z * scale, np.vecdot(z[..., None, :], fold)
+        return np.vecdot(scaled, scaled) - np.vecdot(folded, folded)
 
     def project_range(self, p):
         """Orthogonal projection of (y, x) onto ran A.

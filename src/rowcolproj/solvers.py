@@ -10,17 +10,21 @@ row/column sums. A start's state is (T_k,) for DR and MAP and
     Dyk:  A_{k+1} = P_A(W_k),  R_{k+1} = W_k - A_{k+1},
           T_{k+1} = P_B(A_{k+1}),  W_{k+1} = T_{k+1} + R_{k+1},  R_0 = 0
 
-Every iteration makes one box call and one affine call, on a stack of
-the points that iteration needs: DR projects P_A(T_k) and
-2 P_A(T_k) - T_k onto B together, and Dykstra boxes T_k and W_k
-together and projects both results onto B.
+Below, M(X) = (X e, X^T f) is the marginal map (A in operator.py) and
+P_A the box projection. Each iteration makes one box call on the state,
+one M call on the box's output (for DR with 2 P_A(T_k) - T_k after it),
+and one M^+ call on the B points the update projects onto B; each update
+writes its next state into the state arrays.
 
 The monitored sequence is P_A(T_k) (which lies in the box), with the
 feasibility gap delta_k = ||P_A(T_k) - P_B(P_A(T_k))||_F evaluated for
 k = 0, 1, ... before each update; a run stops at the first delta_k
-within tolerance or after max_iterations updates. For Dykstra the gap
-is deliberately computed from P_A(T_k), not from A_{k+1}, so all three
-algorithms share one criterion.
+within tolerance or after max_iterations updates. As B is
+{X : M(X) = (s_bar, r_bar)}, delta_k = ||M^+(M(P_A(T_k)) - (s_bar, r_bar))||_F,
+which the m + n sums of P_A(T_k) give in O(m + n). The raw (s, r) would
+leave their inconsistent part to cancel in rounding. For Dykstra the
+gap is deliberately computed from P_A(T_k), not from A_{k+1}, so all
+three algorithms share one criterion.
 
 In the integer-restricted case the same updates run unchanged with the
 rounding box projection, and feasibility additionally requires the row
@@ -51,6 +55,8 @@ repeated state. The engine also returns each start's full-length delta
 row, in which a feasible stop carries its final delta forward.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,7 +64,8 @@ import numpy as np
 
 from .affine import AffineMarginalSet
 from .box import HyperBox
-from .linalg import as_array, as_integer, as_matrix, check_finite, frobenius_norm
+# frobenius_norm is not called; perfbench/tracing.py wraps solvers.frobenius_norm by name
+from .linalg import as_array, as_integer, as_matrix, check_finite, frobenius_norm  # noqa: F401
 
 # The one solver implementation; recorded in experiment summaries.
 BACKEND = "numpy"
@@ -118,6 +125,18 @@ def _repeated(state, saved):
     return same
 
 
+def _square_bound(tol):
+    """The largest float64 q with sqrt(q) <= tol: sqrt is correctly rounded and monotone,
+    so delta^2 <= q exactly when delta <= tol, also for a square rounded below 0."""
+    tol = float(tol)
+    q = min(tol * tol, sys.float_info.max)
+    while math.sqrt(q) > tol:
+        q = math.nextafter(q, 0.0)
+    while q < sys.float_info.max and math.sqrt(math.nextafter(q, math.inf)) <= tol:
+        q = math.nextafter(q, math.inf)
+    return q
+
+
 def _solve(affine_set, box, T, cfg):
     """Run cfg.algorithm from every start of the (B, m, n) stack T; returns the
     (B, max_iterations + 1) table of full-length delta rows and one trace per start."""
@@ -127,35 +146,38 @@ def _solve(affine_set, box, T, cfg):
     stop = np.full(size, last)          # iteration of each start's final delta
     found = [None] * size
     active = np.arange(size)            # start index of each matrix in the stack
-    # S is a copy: T_k, which DR updates in place, or Dykstra's (2B, m, n) stack of T_k
-    # and W_k, where W_0 = T_0 + R_0 with R_0 = 0 turns -0.0 into +0.0. The halves of
-    # Dykstra's stack swap roles each iteration; half t holds T_k.
-    S, t = np.concatenate((T, T + 0.0)) if alg == "DYK" else T.copy(), 0
-    # X, (2B, m, n), takes the box projection and DR's 2 P_A(T_k) - T_k, or for MAP a
-    # scratch half. One buffer, made again only when starts leave, keeps the heap from
-    # shrinking and regrowing (page faults) each iteration.
+    # S is a copy: T_k, or Dykstra's (2B, m, n) stack of T_k and W_k, where W_0 = T_0 + R_0
+    # with R_0 = 0 turns -0.0 into +0.0. Each update writes the next state into S.
+    S = np.concatenate((T, T + 0.0)) if alg == "DYK" else T.copy()
+    # X takes the box projection of S, and for DR 2 P_A(T_k) - T_k after it. One buffer,
+    # made again only when starts leave, keeps the heap from shrinking and regrowing
+    # (page faults) each iteration.
     X = None
     saved, saved_at = (), 0             # each active start's state at iteration saved_at
     s_bar, r_bar = affine_set.projected_target
+    op, targets = affine_set.op, affine_set.target_vectors[:, None]
+    bound = _square_bound(cfg.feasibility_tol)
     for k in range(last + 1):
         B = len(active)
-        halves = (slice(None, B), slice(B, None))
         if X is None:
-            X = np.empty((2 * B,) + S.shape[1:])
+            X = np.empty((2 * B if alg == "DR" else len(S),) + S.shape[1:])
         box._project(S, out=X[:len(S)])
-        if alg == "DR":  # 2 P_A(T_k) - T_k goes to P_B together with P_A(T_k)
-            np.subtract(np.multiply(2.0, X[:B], out=X[B:]), S, out=X[B:])
-        Y = affine_set._project(X if alg == "DR" else X[:len(S)])
-        PA, PB = X[halves[t]], Y[halves[t]]
-        # P_A - P_B goes to a spent half: Dykstra's P_B(T_k), which then takes W_{k+1},
-        # or X's second half, which then takes DR's T_k - P_A
-        delta = frobenius_norm(np.subtract(PA, PB, out=PB if alg == "DYK" else X[B:]))
-        deltas[active, k] = delta
-        feasible = delta <= cfg.feasibility_tol
+        # P_A(T_k), and the point the update projects onto B: the same one for MAP
+        PA, U = X[:B], X[len(X) - B:]
+        if alg == "DR":
+            np.subtract(np.multiply(2.0, PA, out=U), S, out=U)
+        # one subtraction gives both residuals: M(P_A(T_k)) - (s_bar, r_bar), whose M^+ image
+        # has norm delta_k, and M(U) - (s, r), which the update corrects U by
+        marginals = op._apply(X)
+        residuals = marginals.reshape(-1, B, marginals.shape[-1]) - targets
+        # delta_k^2, and delta_k <= tol exactly when delta_k^2 <= bound
+        delta_sq = op._pinv_norm_sq(residuals[0])
+        deltas[active, k] = delta_sq
+        feasible = delta_sq <= bound
         if box.integer_restricted and feasible.any():
             feasible[feasible] = _exact_integer_sums(PA[feasible], s_bar, r_bar)
         done = feasible
-        state = (S[halves[t]], S[halves[1 - t]]) if alg == "DYK" else (S,)  # (T_k, W_k)
+        state = (S[:B], S[B:]) if alg == "DYK" else (S,)  # (T_k, W_k)
         if saved:
             # a repeated state has the P_A and delta of the saved one, so it is never feasible
             cycled = _repeated(state, saved)
@@ -166,25 +188,23 @@ def _solve(affine_set, box, T, cfg):
                 deltas[rows, k:] = deltas[rows][:, source]
                 done = feasible | cycled
         leaving = done.any()
-        if leaving:
+        finished = k == last or leaving and done.all()
+        if not finished:
+            if box.integer_restricted and k > 0 and k & (k - 1) == 0:
+                saved, saved_at = tuple(half.copy() for half in state), k
+            # P_B(U): into U for DR, else as T_{k+1} into S (Dykstra's first half)
+            affine_set._correct(U, residuals[1], out=U if alg == "DR" else S[:B])
+            if alg == "DR":  # T_{k+1} = (T_k - P_A(T_k)) + P_B(2 P_A(T_k) - T_k)
+                np.add(np.subtract(S, PA, out=S), U, out=S)
+            elif alg == "DYK":  # R_{k+1} = W_k - A_{k+1}, W_{k+1} = T_{k+1} + R_{k+1}
+                np.add(S[:B], np.subtract(S[B:], U, out=U), out=S[B:])
+        if leaving:  # the update leaves P_A(T_k) as it was; copied after its temporaries are gone
             for j, P in zip(active[feasible], PA[feasible]):
                 stop[j] = k
                 found[j] = P
-            if done.all():
-                break
-        if k == last:
+        if finished:
             break
-        if box.integer_restricted and k > 0 and k & (k - 1) == 0:
-            saved, saved_at = tuple(half.copy() for half in state), k
-        if alg == "DR":
-            np.add(np.subtract(S, PA, out=X[B:]), Y[B:], out=S)
-        elif alg == "MAP":
-            S = Y
-        else:  # R_{k+1} = W_k - A_{k+1} over A_{k+1}, W_{k+1} = T_{k+1} + R_{k+1} over P_B(T_k)
-            w = halves[1 - t]
-            np.add(Y[w], np.subtract(S[w], X[w], out=X[w]), out=PB)
-            S, t = Y, 1 - t
-        del Y, PA, PB, state  # not alive through the next iteration's projections
+        del PA, U, state  # views of X and S, which leaving starts replace
         if leaving:  # done starts leave the next state and its saved copy
             X, keep = None, ~done
             active, S = active[keep], S[np.tile(keep, len(S) // B)]
@@ -192,6 +212,7 @@ def _solve(affine_set, box, T, cfg):
     # a stopped row carries its final delta forward; a cycled row already holds its continuation
     np.copyto(deltas, deltas[np.arange(size), stop][:, None],
               where=np.arange(last + 1) > stop[:, None])
+    np.sqrt(np.maximum(deltas, 0.0, out=deltas), out=deltas)  # the table held delta_k^2
     return deltas, [
         SolverTrace(
             algorithm=alg,

@@ -176,6 +176,9 @@ def reference_run(affine_set, box, T0, cfg):
     solver loop that the stacked engine replaced, kept as its reference.
     It runs to its first feasible iterate or to max_iterations, whatever
     states repeat, and records every iterate and Dykstra box candidate.
+    delta_k is ||A^+(A(P_A(T_k)) - (s_bar, r_bar))||_F from the marginals of
+    P_A(T_k) alone (ScaledMarginalOperator._pinv_norm_sq on one matrix), which equals
+    ||P_A(T_k) - P_B(P_A(T_k))||_F in exact arithmetic.
     """
     s_bar, r_bar = affine_set.projected_target
     s_goal, r_goal = np.round(s_bar), np.round(r_bar)
@@ -186,8 +189,8 @@ def reference_run(affine_set, box, T0, cfg):
     for k in range(cfg.max_iterations + 1):
         iterates.append(T.copy())
         PA = box.project(T)
-        PB = affine_set.project(PA)
-        delta = float(np.sqrt(np.sum(np.square(PA - PB))))
+        residual = affine_set.op._apply(PA) - affine_set.target_vectors[0]
+        delta = float(np.sqrt(max(affine_set.op._pinv_norm_sq(residual), 0.0)))
         deltas.append(delta)
         feasible = delta <= cfg.feasibility_tol
         if feasible and box.integer_restricted:
@@ -201,7 +204,7 @@ def reference_run(affine_set, box, T0, cfg):
         if cfg.algorithm == "DR":
             T = T - PA + affine_set.project(2.0 * PA - T)
         elif cfg.algorithm == "MAP":
-            T = PB
+            T = affine_set.project(PA)
         else:
             AK = box.project(T + R)
             candidates.append(AK)

@@ -23,6 +23,7 @@ from rowcolproj.harness import (
     dedup_solutions,
     draw_start,
     emit_outputs,
+    integer_witness,
     run_experiment,
 )
 from rowcolproj.linalg import frobenius_norm
@@ -423,7 +424,7 @@ def test_emit_outputs_files(tmp_path):
     deltas = (tmp_path / "out" / "deltas.csv").read_text().splitlines()
     assert len(deltas) == 1 + 3 * (spec.max_iterations + 1)
     loaded = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert loaded["schema_version"] == 3
+    assert loaded["schema_version"] == 4
     assert loaded["conventions"]["distance_norm"].startswith("largest singular value (LAPACK SVD)")
     assert loaded["spec"]["num_runs"] == 8
     assert loaded["conventions"]["rounding_tie_rule"] == "half-away-from-zero"
@@ -459,3 +460,53 @@ def test_summary_spec_echo_rebuilds_the_experiment(tmp_path):
     emit_outputs(*run_experiment(ExperimentSpec.from_config(echo)), tmp_path / "b")
     for name in ("runs.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def brute_force_integer_matrix_exists(s, r):
+    """Some integer matrix in the box [0, floor(min(s_i, r_j))] has row sums s and column
+    sums r: every matrix of the box is tried."""
+    upper = np.floor(np.minimum.outer(s, r)).astype(int)
+    if np.any(upper < 0):
+        return False
+    grids = np.meshgrid(*[np.arange(u + 1) for u in upper.ravel()], indexing="ij")
+    matrices = np.stack([g.ravel() for g in grids], axis=1).reshape(-1, *upper.shape)
+    return bool(np.any(np.all(matrices.sum(axis=2) == s, axis=1)
+                       & np.all(matrices.sum(axis=1) == r, axis=1)))
+
+
+def test_integer_witness_agrees_with_a_brute_force_search():
+    rng = np.random.default_rng(91)
+    seen = {True: 0, False: 0}
+    for trial in range(300):
+        m, n = rng.integers(1, 4, size=2)
+        if trial % 2:  # the sums of an integer matrix: feasible
+            counts = rng.integers(0, 3, size=(m, n))
+            s, r = counts.sum(axis=1).astype(float), counts.sum(axis=0).astype(float)
+        else:  # free sums, mostly with unequal totals
+            s, r = rng.integers(0, 4, size=m).astype(float), rng.integers(0, 4, size=n).astype(float)
+        if m * n > 6:
+            s, r = np.minimum(s, 2.0), np.minimum(r, 2.0)  # keeps the search small
+        exists = brute_force_integer_matrix_exists(s, r)
+        witness = integer_witness(s, r)
+        assert (witness is not None) == exists, (s, r)
+        seen[exists] += 1
+        if exists:
+            assert witness.dtype == np.int64 and witness.min() >= 0
+            assert np.array_equal(witness.sum(axis=1), s) and np.array_equal(witness.sum(axis=0), r)
+            assert in_box(make_box(s, r, integer_restricted=True), witness)
+            # fractional sums with the same totals admit no integer matrix
+            s[0], r[0] = s[0] + 0.5, r[0] + 0.5
+            assert integer_witness(s, r) is None
+    assert min(seen.values()) > 50
+    assert integer_witness(np.array([-1.0, 2.0]), np.array([1.0])) is None
+
+
+def test_summary_states_whether_the_integer_problem_is_feasible():
+    feasible = run_experiment(small_spec(case="integer", num_runs=3, max_iterations=5))[1]
+    assert feasible["integer_feasible"] is True
+    # s_bar = s - 2/9 and r_bar = r + 2/9 are fractional
+    fractional = run_experiment(small_spec(s=[33, 43, 33, 23], case="integer", num_runs=3,
+                                           max_iterations=5))[1]
+    assert fractional["integer_feasible"] is False
+    assert fractional["convergence_counts"] == {"DR": 0, "MAP": 0, "Dyk": 0}
+    assert "integer_feasible" not in run_experiment(small_spec(num_runs=3, max_iterations=5))[1]
