@@ -15,7 +15,7 @@ The classical sets are inputs to it, not separate code paths:
   all-ones targets.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +30,7 @@ class AffineMarginalSet:
     op: ScaledMarginalOperator
     target: MarginalPair
     projected_target: MarginalPair
-    consistency_residual: float = field(init=False)
-    # rows (s_bar, r_bar) and (s, r), each as one vector like the output of A
-    target_vectors: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        both = np.stack((np.concatenate(self.projected_target), np.concatenate(self.target)))
-        object.__setattr__(self, "target_vectors", frozen_copy(both))
-        object.__setattr__(self, "consistency_residual", float(np.linalg.norm(both[1] - both[0])))
+    consistency_residual: float
 
     @property
     def shape(self):
@@ -54,13 +47,13 @@ class AffineMarginalSet:
     def _project(self, T):
         """Unchecked projection of a matrix or of each matrix of a (B, m, n) stack:
         A applied to T, then the A^+ correction."""
-        return self._correct(T, self.op._apply(T) - self.target_vectors[1])
+        s, r = self.target
+        row_part, col_part = self.op._apply(T)
+        return self._correct(T, row_part - s, col_part - r)
 
-    def _correct(self, T, residual, out=None):
-        """T - A^+(A(T) - (s, r)) from the residual A(T) - (s, r), as one vector per matrix,
-        into ``out`` if given."""
-        m = self.op.m
-        K = self.op._pinv(residual[..., :m], residual[..., m:])
+    def _correct(self, T, y, x, out=None):
+        """T - A^+(y, x) for the residual (y, x) = A(T) - (s, r), into ``out`` if given."""
+        K = self.op._pinv(y, x)
         return np.subtract(T, K, out=K if out is None else out)
 
 
@@ -77,4 +70,10 @@ def make_affine_set(op, s, r):
     r = frozen_copy(as_vector(r, dim=op.n, name="r"))
     target = MarginalPair(s, r)
     projected = MarginalPair(*map(frozen_copy, op.project_range(target)))
-    return AffineMarginalSet(op=op, target=target, projected_target=projected)
+    residual = float(
+        np.sqrt(
+            np.sum((s - projected.row_part) ** 2) + np.sum((r - projected.col_part) ** 2)
+        )
+    )
+    return AffineMarginalSet(op=op, target=target, projected_target=projected,
+                             consistency_residual=residual)

@@ -19,6 +19,7 @@ intentionally take the generic (ill-conditioned) formula.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +39,7 @@ class MarginalPair(NamedTuple):
 
 @dataclass(frozen=True)
 class ScaledMarginalOperator:
-    """Immutable weight pair (e, f) with cached squared norms, zero and unit flags and norm factors."""
+    """Immutable weight pair (e, f) with cached squared norms and zero and unit flags."""
 
     e: np.ndarray
     f: np.ndarray
@@ -47,7 +48,6 @@ class ScaledMarginalOperator:
     e_is_zero: bool = field(init=False)
     f_is_zero: bool = field(init=False)
     unit: bool = field(init=False)
-    norm_factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         e = frozen_copy(as_vector(self.e, name="e"))
@@ -59,17 +59,6 @@ class ScaledMarginalOperator:
         object.__setattr__(self, "e_is_zero", bool(np.all(e == 0.0)))
         object.__setattr__(self, "f_is_zero", bool(np.all(f == 0.0)))
         object.__setattr__(self, "unit", bool(np.all(e == 1.0) and np.all(f == 1.0)))
-        # the factors of _pinv_norm_sq; like _pinv, they divide by an |e|^2 that underflows to 0
-        a, b, m = np.float64(self.e_norm_sq), np.float64(self.f_norm_sq), self.m
-        scale, fold = np.zeros(m + self.n), np.zeros((2, m + self.n))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale[:m] = 0.0 if self.e_is_zero else a ** -0.5
-            scale[m:] = 0.0 if self.f_is_zero else b ** -0.5
-            if not (self.e_is_zero or self.f_is_zero):
-                c = 2.0 * a + b
-                fold[0] = np.concatenate((f * np.sqrt(c / a), e * -np.sqrt(a / c))) / (a + b)
-                fold[1, m:] = e * np.sqrt(2.0 / (b * c))
-        object.__setattr__(self, "norm_factors", (frozen_copy(scale), frozen_copy(fold)))
 
     @property
     def n(self):
@@ -91,13 +80,11 @@ class ScaledMarginalOperator:
 
     def apply(self, T):
         """A(T) = (T e, T^T f): e-weighted row sums and f-weighted column sums."""
-        both = self._apply(as_matrix(T, shape=self.shape, name="T"))
-        return MarginalPair(both[:self.m], both[self.m:])
+        return MarginalPair(*self._apply(as_matrix(T, shape=self.shape, name="T")))
 
     def _apply(self, T):
-        """Unchecked A on a matrix or on each matrix of a (B, m, n) stack, as one vector
-        (T e, T^T f) of length m + n per matrix."""
-        return np.concatenate((T @ self.e, np.swapaxes(T, -1, -2) @ self.f), axis=-1)
+        """Unchecked A on a matrix or on each matrix of a (B, m, n) stack."""
+        return T @ self.e, np.swapaxes(T, -1, -2) @ self.f
 
     def pinv_apply(self, p):
         """Moore-Penrose inverse A^+(y, x), by the exact four-case formula.
@@ -136,6 +123,20 @@ class ScaledMarginalOperator:
         if self.unit:
             return np.add(u[..., :, None], v[..., None, :])
         return u[..., :, None] * e + f[:, None] * v[..., None, :]
+
+    @cached_property
+    def norm_factors(self):
+        """The factors of _pinv_norm_sq; like _pinv, they divide by an |e|^2 that underflows to 0."""
+        a, b, m = np.float64(self.e_norm_sq), np.float64(self.f_norm_sq), self.m
+        scale, fold = np.zeros(m + self.n), np.zeros((2, m + self.n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale[:m] = 0.0 if self.e_is_zero else a ** -0.5
+            scale[m:] = 0.0 if self.f_is_zero else b ** -0.5
+            if not (self.e_is_zero or self.f_is_zero):
+                c = 2.0 * a + b
+                fold[0] = np.concatenate((self.f * np.sqrt(c / a), self.e * -np.sqrt(a / c))) / (a + b)
+                fold[1, m:] = self.e * np.sqrt(2.0 / (b * c))
+        return frozen_copy(scale), frozen_copy(fold)
 
     def _pinv_norm_sq(self, z):
         """||A^+(y, x)||_F^2 for z = (y, x), or per row of a stack z (B, m + n), in O(m + n).

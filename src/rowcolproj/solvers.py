@@ -155,7 +155,10 @@ def _solve(affine_set, box, T, cfg):
     X = None
     saved, saved_at = (), 0             # each active start's state at iteration saved_at
     s_bar, r_bar = affine_set.projected_target
-    op, targets = affine_set.op, affine_set.target_vectors[:, None]
+    # (s_bar, r_bar) and (s, r), each as one vector like the marginals below
+    op, m = affine_set.op, affine_set.shape[0]
+    targets = np.stack([np.concatenate(affine_set.projected_target),
+                        np.concatenate(affine_set.target)])[:, None]
     bound = _square_bound(cfg.feasibility_tol)
     for k in range(last + 1):
         B = len(active)
@@ -168,7 +171,7 @@ def _solve(affine_set, box, T, cfg):
             np.subtract(np.multiply(2.0, PA, out=U), S, out=U)
         # one subtraction gives both residuals: M(P_A(T_k)) - (s_bar, r_bar), whose M^+ image
         # has norm delta_k, and M(U) - (s, r), which the update corrects U by
-        marginals = op._apply(X)
+        marginals = np.concatenate(op._apply(X), axis=-1)
         residuals = marginals.reshape(-1, B, marginals.shape[-1]) - targets
         # delta_k^2, and delta_k <= tol exactly when delta_k^2 <= bound
         delta_sq = op._pinv_norm_sq(residuals[0])
@@ -193,7 +196,8 @@ def _solve(affine_set, box, T, cfg):
             if box.integer_restricted and k > 0 and k & (k - 1) == 0:
                 saved, saved_at = tuple(half.copy() for half in state), k
             # P_B(U): into U for DR, else as T_{k+1} into S (Dykstra's first half)
-            affine_set._correct(U, residuals[1], out=U if alg == "DR" else S[:B])
+            affine_set._correct(U, residuals[1, :, :m], residuals[1, :, m:],
+                                out=U if alg == "DR" else S[:B])
             if alg == "DR":  # T_{k+1} = (T_k - P_A(T_k)) + P_B(2 P_A(T_k) - T_k)
                 np.add(np.subtract(S, PA, out=S), U, out=S)
             elif alg == "DYK":  # R_{k+1} = W_k - A_{k+1}, W_{k+1} = T_{k+1} + R_{k+1}

@@ -189,7 +189,7 @@ def reference_run(affine_set, box, T0, cfg):
     for k in range(cfg.max_iterations + 1):
         iterates.append(T.copy())
         PA = box.project(T)
-        residual = affine_set.op._apply(PA) - affine_set.target_vectors[0]
+        residual = np.concatenate(affine_set.op.apply(PA)) - np.concatenate(affine_set.projected_target)
         delta = float(np.sqrt(max(affine_set.op._pinv_norm_sq(residual), 0.0)))
         deltas.append(delta)
         feasible = delta <= cfg.feasibility_tol

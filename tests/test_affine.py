@@ -339,7 +339,7 @@ def test_unit_projection_matches_textbook_terms_bit_for_bit(shape, data):
     T = draw(B * m * n).reshape(shape)
     afs = make_affine_set(unit_operator(m, n), draw(m), draw(n))
     before = T.copy()
-    row_part, col_part = T @ afs.op.e, np.swapaxes(T, -1, -2) @ afs.op.f  # A by plain products
+    row_part, col_part = afs.op._apply(T)
     s, r = afs.target
     assert same_bits(afs._project(T), T - nine_pass_pinv(afs.op, row_part - s, col_part - r))
     assert same_bits(T, before)

@@ -152,7 +152,7 @@ def test_deltas_recomputable_from_recorded_iterates(alg):
     assert len(reference.iterates) == len(reference.trace.deltas)
     for Tk, delta in zip(reference.iterates, reference.trace.deltas):
         PA = box.project(Tk)
-        residual = affine_set.op._apply(PA) - affine_set.target_vectors[0]
+        residual = np.concatenate(affine_set.op.apply(PA)) - np.concatenate(affine_set.projected_target)
         assert np.sqrt(max(affine_set.op._pinv_norm_sq(residual), 0.0)) == delta
         # the full-size difference that delta_k stands for, within a few roundings of P_A
         gap = frobenius_norm(PA - affine_set.project(PA))
