@@ -18,11 +18,12 @@ from .linalg import as_matrix, as_vector, frozen_copy
 ROUNDING_TIE_RULE = "half-away-from-zero"
 
 
-def round_half_away(values):
+def round_half_away(values, out=None):
     """Round to the nearest integer, ties away from zero, exactly at every magnitude:
-    values - trunc(values) and its double are exact float64 operations."""
+    values - trunc(values) and its double are exact float64 operations. Into ``out``
+    if given, which must not share memory with ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    whole = np.trunc(values)
+    whole = np.trunc(values, out=out)
     # whole + trunc(2 (values - whole)) in place: two temporaries rather than three
     twice = np.subtract(values, whole)
     np.multiply(2.0, twice, out=twice)
@@ -60,8 +61,8 @@ class HyperBox:
 
     def _project(self, T, out=None):
         """Unchecked projection of a matrix or of each matrix of a stack, into ``out`` if given."""
-        if self.integer_restricted:
-            T = round_half_away(T)
+        if self.integer_restricted:  # one temporary fewer when rounding into out
+            T = round_half_away(T, out=out)
         # np.clip keeps a zero input that ties a zero bound of the other sign on
         # (B, 1, 1) stacks; np.maximum and np.minimum return the bound on every layout.
         out = np.maximum(T, self.lower, out=out)
