@@ -43,7 +43,7 @@ SCHEMA_VERSION = 4
 # Dykstra), the box projection, the update's correction and temporaries,
 # and for an integer box a saved copy of the state for its repeated-state
 # exit. tracemalloc peaks on 128 starts of 32x64, in stacks: convex 4.3 DR,
-# 3.3 MAP and 5.3 Dykstra; integer 6.2, 5.2 and 10.2. So this bounds a
+# 3.3 MAP and 5.3 Dykstra; integer 5.3, 4.3 and 8.2. So this bounds a
 # batch's memory whatever num_runs is; results do not depend on the blocking.
 BLOCK_ENTRIES = 2 ** 18
 
@@ -301,13 +301,10 @@ def dedup_solutions(records):
 
 def integer_witness(s_bar, r_bar):
     """A nonnegative integer matrix with row sums s_bar and column sums r_bar, or None
-    when there is none: a fractional or negative sum, or unequal totals.
-
-    The northwest-corner rule of the transportation problem (Dantzig, Linear
-    Programming and Extensions, 1963): set entry (i, j) to the smaller of what row i
-    and column j still lack, then move down if row i is met, else right, in at most
-    m + n - 1 steps. Entry (i, j) is at most min(s_bar_i, r_bar_j), so the matrix
-    lies in the integer box of make_box(s_bar, r_bar).
+    when there is none (a fractional or negative sum, or unequal totals), by the
+    northwest-corner rule of the transportation problem (Dantzig 1963): entry (i, j)
+    takes what row i and column j both still lack, then the walk moves down if row i
+    is met, else right. Entry (i, j) is at most min(s_bar_i, r_bar_j): it lies in the box.
     """
     rows, cols = [int(v) for v in s_bar], [int(v) for v in r_bar]
     if (np.any(s_bar != rows) or np.any(r_bar != cols) or min(rows + cols) < 0
@@ -354,8 +351,7 @@ def summarize(records, spec, tables, projected_target):
         "conventions": {
             "rounding_tie_rule": ROUNDING_TIE_RULE,
             "delta_definition": "frobenius norm of A^+(A(P_box(T_k)) - (s_bar, r_bar)), which is "
-                                "P_box(T_k) minus P_affine(P_box(T_k)), from the row and column "
-                                "sums of P_box(T_k)",
+                                "P_box(T_k) minus P_affine(P_box(T_k))",
             "dykstra_delta_point": "P_box(T_k), same criterion as DR and MAP",
             "integer_feasibility": "delta within tolerance plus exact integer row/column sums",
             "integer_feasible": "integer case: whether an integer matrix in the box has the sums "

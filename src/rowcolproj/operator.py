@@ -125,7 +125,7 @@ class ScaledMarginalOperator:
         return u[..., :, None] * e + f[:, None] * v[..., None, :]
 
     @cached_property
-    def norm_factors(self):
+    def _norm_factors(self):
         """The factors of _pinv_norm_sq; like _pinv, they divide by an |e|^2 that underflows to 0."""
         a, b, m = np.float64(self.e_norm_sq), np.float64(self.f_norm_sq), self.m
         scale, fold = np.zeros(m + self.n), np.zeros((2, m + self.n))
@@ -142,13 +142,12 @@ class ScaledMarginalOperator:
         """||A^+(y, x)||_F^2 for z = (y, x), or per row of a stack z (B, m + n), in O(m + n).
 
         With a = |e|^2, b = |f|^2, c = 2a + b, d = a + b, p = f.y and q = e.x it is
-        |y|^2/a + |x|^2/b - (p^2 + q^2 - (a p + b q)^2/d^2)/(a b) = |(y/sqrt(a),
-        x/sqrt(b))|^2 - (sqrt(c/a) p/d - sqrt(a/c) q/d)^2 - 2 q^2/(b c); norm_factors
-        hold these positive factors. With e = 0 it is |x|^2/b, with f = 0 |y|^2/a.
-        Every step is elementwise or a per-row np.vecdot (same bits in any stack);
+        |y|^2/a + |x|^2/b - (sqrt(c/a) p/d - sqrt(a/c) q/d)^2 - 2 q^2/(b c), whose
+        factors are all positive (e = 0 leaves |x|^2/b, f = 0 |y|^2/a). Each step is
+        elementwise or a per-row np.vecdot, so a row has the same bits in any stack;
         rounding can leave a value a little below zero, for a norm of 0.
         """
-        scale, fold = self.norm_factors
+        scale, fold = self._norm_factors
         scaled, folded = z * scale, np.vecdot(z[..., None, :], fold)
         return np.vecdot(scaled, scaled) - np.vecdot(folded, folded)
 

@@ -10,21 +10,18 @@ row/column sums. A start's state is (T_k,) for DR and MAP and
     Dyk:  A_{k+1} = P_A(W_k),  R_{k+1} = W_k - A_{k+1},
           T_{k+1} = P_B(A_{k+1}),  W_{k+1} = T_{k+1} + R_{k+1},  R_0 = 0
 
-Below, M(X) = (X e, X^T f) is the marginal map (A in operator.py) and
-P_A the box projection. Each iteration makes one box call on the state,
-one M call on the box's output (for DR with 2 P_A(T_k) - T_k after it),
-and one M^+ call on the B points the update projects onto B; each update
-writes its next state into the state arrays.
+Each iteration makes one box call on the state, one call of the sum map
+M(X) = (X e, X^T f) (A in operator.py) on the box's output, for DR with
+2 P_A(T_k) - T_k after it, and one M^+ call on the update's points only.
 
 The monitored sequence is P_A(T_k) (which lies in the box), with the
 feasibility gap delta_k = ||P_A(T_k) - P_B(P_A(T_k))||_F evaluated for
 k = 0, 1, ... before each update; a run stops at the first delta_k
 within tolerance or after max_iterations updates. As B is
 {X : M(X) = (s_bar, r_bar)}, delta_k = ||M^+(M(P_A(T_k)) - (s_bar, r_bar))||_F,
-which the m + n sums of P_A(T_k) give in O(m + n). The raw (s, r) would
-leave their inconsistent part to cancel in rounding. For Dykstra the
-gap is deliberately computed from P_A(T_k), not from A_{k+1}, so all
-three algorithms share one criterion.
+from the m + n sums of P_A(T_k) in O(m + n). For Dykstra the gap is
+deliberately computed from P_A(T_k), not from A_{k+1}, so all three
+algorithms share one criterion.
 
 In the integer-restricted case the same updates run unchanged with the
 rounding box projection, and feasibility additionally requires the row
@@ -155,7 +152,6 @@ def _solve(affine_set, box, T, cfg):
     X = None
     saved, saved_at = (), 0             # each active start's state at iteration saved_at
     s_bar, r_bar = affine_set.projected_target
-    # (s_bar, r_bar) and (s, r), each as one vector like the marginals below
     op, m = affine_set.op, affine_set.shape[0]
     targets = np.stack([np.concatenate(affine_set.projected_target),
                         np.concatenate(affine_set.target)])[:, None]
@@ -169,8 +165,7 @@ def _solve(affine_set, box, T, cfg):
         PA, U = X[:B], X[len(X) - B:]
         if alg == "DR":
             np.subtract(np.multiply(2.0, PA, out=U), S, out=U)
-        # one subtraction gives both residuals: M(P_A(T_k)) - (s_bar, r_bar), whose M^+ image
-        # has norm delta_k, and M(U) - (s, r), which the update corrects U by
+        # both residuals in one subtraction: M(P_A(T_k)) - (s_bar, r_bar) and M(U) - (s, r)
         marginals = np.concatenate(op._apply(X), axis=-1)
         residuals = marginals.reshape(-1, B, marginals.shape[-1]) - targets
         # delta_k^2, and delta_k <= tol exactly when delta_k^2 <= bound
