@@ -24,10 +24,11 @@ deliberately computed from P_A(T_k), not from A_{k+1}, so all three
 algorithms share one criterion.
 
 In the integer-restricted case the same updates run unchanged with the
-rounding box projection, and feasibility additionally requires the row
-and column sums of P_A(T_k) to equal the range-projected targets
-(s_bar, r_bar) exactly, which separates float noise from true
-feasibility; a fractional target is never met.
+rounding box projection, and feasibility additionally requires the sums
+M(P_A(T_k)) to equal the range-projected targets (s_bar, r_bar) exactly
+(delta_k's residual is zero). With unit weights these are integer sums,
+exact below 2^53, which separates float noise from true feasibility; a
+fractional target is never met.
 
 Integer runs also stop at their first repeated state. Each start's
 state is saved at k = 1, 2, 4, 8, ... and compared bit for bit with
@@ -102,17 +103,6 @@ class SolverTrace:
     converged: bool
 
 
-def _exact_integer_sums(P, s_bar, r_bar):
-    """Per matrix of the integer-box stack P: row sums s_bar and column sums r_bar.
-
-    The entries are integers and _check_box keeps their sums below 2^53,
-    so these float sums are exact and never equal a fractional target.
-    """
-    rows = np.all(P.sum(axis=2) == s_bar, axis=1)
-    cols = np.all(P.sum(axis=1) == r_bar, axis=1)
-    return rows & cols
-
-
 def _repeated(state, saved):
     """Per matrix of the stack: every state array equals its saved copy bit for bit
     (compared as int64, so -0.0 and +0.0 differ)."""
@@ -151,7 +141,6 @@ def _solve(affine_set, box, T, cfg):
     # (page faults) each iteration.
     X = None
     saved, saved_at = (), 0             # each active start's state at iteration saved_at
-    s_bar, r_bar = affine_set.projected_target
     op, m = affine_set.op, affine_set.shape[0]
     targets = np.stack([np.concatenate(affine_set.projected_target),
                         np.concatenate(affine_set.target)])[:, None]
@@ -173,7 +162,7 @@ def _solve(affine_set, box, T, cfg):
         deltas[active, k] = delta_sq
         feasible = delta_sq <= bound
         if box.integer_restricted and feasible.any():
-            feasible[feasible] = _exact_integer_sums(PA[feasible], s_bar, r_bar)
+            feasible[feasible] = ~residuals[0][feasible].any(axis=-1)  # the sums are (s_bar, r_bar)
         done = feasible
         state = (S[:B], S[B:]) if alg == "DYK" else (S,)  # (T_k, W_k)
         if saved:

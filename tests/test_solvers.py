@@ -348,6 +348,17 @@ def test_integer_map_mostly_stalls():
     assert converged <= 5
 
 
+def test_integer_feasibility_compares_the_weighted_sums_with_the_targets():
+    # weights 2: the targets are twice the plain sums, so the plain sums never meet them
+    op = ScaledMarginalOperator(2 * np.ones(5), 2 * np.ones(4))
+    affine_set = make_affine_set(op, DEMO_SOLUTION @ op.e, DEMO_SOLUTION.T @ op.f)
+    box = make_box(DEMO_ROW_SUMS, DEMO_COL_SUMS, integer_restricted=True)
+    for alg in ALGS:
+        trace = pinned_reference(affine_set, box, DEMO_SOLUTION, SolverConfig(algorithm=alg)).trace
+        assert trace.first_feasible_iteration == 0
+        assert np.array_equal(trace.first_feasible_matrix, DEMO_SOLUTION)
+
+
 def test_non_integral_targets_never_integer_feasible():
     # integer row sums cannot match fractional targets, so the run must
     # exhaust its iterations rather than claim feasibility
