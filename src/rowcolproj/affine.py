@@ -42,17 +42,14 @@ class AffineMarginalSet:
         Computed as T - A^+(A(T) - (s, r)); the pseudoinverse absorbs
         any inconsistent component of the raw targets.
         """
-        return self._project(as_matrix(T, shape=self.shape, name="T"))
-
-    def _project(self, T):
-        """Unchecked projection of a matrix or of each matrix of a (B, m, n) stack:
-        A applied to T, then the A^+ correction."""
+        T = as_matrix(T, shape=self.shape, name="T")
         s, r = self.target
         row_part, col_part = self.op._apply(T)
         return self._correct(T, row_part - s, col_part - r)
 
     def _correct(self, T, y, x, out=None):
-        """T - A^+(y, x) for the residual (y, x) = A(T) - (s, r), into ``out`` if given."""
+        """Unchecked T - A^+(y, x) for the residual (y, x) = A(T) - (s, r), on a matrix or
+        on each matrix of a stack, into ``out`` if given."""
         K = self.op._pinv(y, x)
         return np.subtract(T, K, out=K if out is None else out)
 

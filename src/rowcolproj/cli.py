@@ -103,10 +103,11 @@ def cmd_project(args):
     op = ScaledMarginalOperator(e, f)
     if op.shape != T.shape:
         raise ValueError(f"the weights imply shape {op.m}x{op.n} but the matrix is {m}x{n}")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with one line
+    with np.errstate(all="ignore"):  # refused below, with one line
         X = make_affine_set(op, spec.s, spec.r).project(T)
     if not np.all(np.isfinite(X)):
-        raise ValueError("the projection has non-finite entries: the input is too large for float64")
+        raise ValueError("the projection has non-finite entries: the matrix, targets or "
+                         "weights are too large, or the weights too small, for float64")
     if args.output is None:
         sys.stdout.write(format_matrix(X))
     else:

@@ -54,8 +54,12 @@ class ScaledMarginalOperator:
         f = frozen_copy(as_vector(self.f, name="f"))
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "e_norm_sq", float(e @ e))
-        object.__setattr__(self, "f_norm_sq", float(f @ f))
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            e_norm_sq, f_norm_sq = float(e @ e), float(f @ f)
+        if not np.isfinite(2.0 * e_norm_sq + f_norm_sq):  # the largest sum the formulas form
+            raise ValueError("the weights are too large: 2|e|^2 + |f|^2 overflows float64")
+        object.__setattr__(self, "e_norm_sq", e_norm_sq)
+        object.__setattr__(self, "f_norm_sq", f_norm_sq)
         object.__setattr__(self, "e_is_zero", bool(np.all(e == 0.0)))
         object.__setattr__(self, "f_is_zero", bool(np.all(f == 0.0)))
         object.__setattr__(self, "unit", bool(np.all(e == 1.0) and np.all(f == 1.0)))

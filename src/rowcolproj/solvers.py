@@ -44,7 +44,10 @@ converge. The engine marks it not converged and fills its deltas up to
 max_iterations with the periodic continuation, so every trace is bit
 for bit the one a full-length run gives.
 
-One engine runs every start of a batch as a (B, m, n) stack: each step
+One engine runs every start of a batch as a (B, m, n) stack. It holds
+the state as a (parts, B, m, n) stack, (T_k,) or (T_k, W_k), and the
+box output likewise, 1 part for MAP and 2 for DR and Dykstra; the
+repeated-state check compares the whole state stack. Each step
 is elementwise or acts on each matrix of the stack alone, so a start's
 delta_k sequence and first feasible point are bit for bit the same
 whether it runs alone (:func:`run`) or inside any batch
@@ -103,15 +106,6 @@ class SolverTrace:
     converged: bool
 
 
-def _repeated(state, saved):
-    """Per matrix of the stack: every state array equals its saved copy bit for bit
-    (compared as int64, so -0.0 and +0.0 differ)."""
-    same = True
-    for now, then in zip(state, saved):
-        same = same & (now.view(np.int64) == then.view(np.int64)).all(axis=(1, 2))
-    return same
-
-
 def _square_bound(tol):
     """The largest float64 q with sqrt(q) <= tol: sqrt is correctly rounded and monotone,
     so delta^2 <= q exactly when delta <= tol, also for a square rounded below 0."""
@@ -133,30 +127,28 @@ def _solve(affine_set, box, T, cfg):
     stop = np.full(size, last)          # iteration of each start's final delta
     found = [None] * size
     active = np.arange(size)            # start index of each matrix in the stack
-    # S is a copy: T_k, or Dykstra's (2B, m, n) stack of T_k and W_k, where W_0 = T_0 + R_0
-    # with R_0 = 0 turns -0.0 into +0.0. Each update writes the next state into S.
-    S = np.concatenate((T, T + 0.0)) if alg == "DYK" else T.copy()
-    # X takes the box projection of S, and for DR 2 P_A(T_k) - T_k after it. One buffer,
-    # made again only when starts leave, keeps the heap from shrinking and regrowing
-    # (page faults) each iteration.
+    # S is a (parts, B, m, n) copy of the state: (T_k,), or Dykstra's (T_k, W_k), where
+    # W_0 = T_0 + R_0 with R_0 = 0 turns -0.0 into +0.0. Each update writes the next state into S.
+    S = np.stack((T, T + 0.0) if alg == "DYK" else (T,))
+    # X takes the box projection of S, and for DR 2 P_A(T_k) - T_k after it: 1 part for MAP,
+    # 2 for DR and Dykstra. One buffer, made again only when starts leave, keeps the heap
+    # from shrinking and regrowing (page faults) each iteration.
     X = None
-    saved, saved_at = (), 0             # each active start's state at iteration saved_at
+    saved, saved_at = None, 0           # each active start's state at iteration saved_at
     op, m = affine_set.op, affine_set.shape[0]
     targets = np.stack([np.concatenate(affine_set.projected_target),
                         np.concatenate(affine_set.target)])[:, None]
     bound = _square_bound(cfg.feasibility_tol)
     for k in range(last + 1):
-        B = len(active)
         if X is None:
-            X = np.empty((2 * B if alg == "DR" else len(S),) + S.shape[1:])
+            X = np.empty((1 if alg == "MAP" else 2,) + S.shape[1:])
         box._project(S, out=X[:len(S)])
         # P_A(T_k), and the point the update projects onto B: the same one for MAP
-        PA, U = X[:B], X[len(X) - B:]
+        PA, U = X[0], X[-1]
         if alg == "DR":
-            np.subtract(np.multiply(2.0, PA, out=U), S, out=U)
+            np.subtract(np.multiply(2.0, PA, out=U), S[0], out=U)
         # both residuals in one subtraction: M(P_A(T_k)) - (s_bar, r_bar) and M(U) - (s, r)
-        marginals = np.concatenate(op._apply(X), axis=-1)
-        residuals = marginals.reshape(-1, B, marginals.shape[-1]) - targets
+        residuals = np.concatenate(op._apply(X), axis=-1) - targets
         # delta_k^2, and delta_k <= tol exactly when delta_k^2 <= bound
         delta_sq = op._pinv_norm_sq(residuals[0])
         deltas[active, k] = delta_sq
@@ -164,10 +156,10 @@ def _solve(affine_set, box, T, cfg):
         if box.integer_restricted and feasible.any():
             feasible[feasible] = ~residuals[0][feasible].any(axis=-1)  # the sums are (s_bar, r_bar)
         done = feasible
-        state = (S[:B], S[B:]) if alg == "DYK" else (S,)  # (T_k, W_k)
-        if saved:
-            # a repeated state has the P_A and delta of the saved one, so it is never feasible
-            cycled = _repeated(state, saved)
+        if saved is not None:
+            # a repeated state has the P_A and delta of the saved one, so it is never feasible;
+            # compared as int64, so -0.0 and +0.0 differ
+            cycled = (S.view(np.int64) == saved.view(np.int64)).all(axis=(0, 2, 3))
             if cycled.any():
                 # state k equals state saved_at, so iteration t >= k repeats source[t - k]
                 source = saved_at + (np.arange(k, last + 1) - saved_at) % (k - saved_at)
@@ -178,25 +170,25 @@ def _solve(affine_set, box, T, cfg):
         finished = k == last or leaving and done.all()
         if not finished:
             if box.integer_restricted and k > 0 and k & (k - 1) == 0:
-                saved, saved_at = tuple(half.copy() for half in state), k
-            # P_B(U): into U for DR, else as T_{k+1} into S (Dykstra's first half)
+                saved, saved_at = S.copy(), k
+            # P_B(U): into U for DR, else as T_{k+1} into S[0]
             affine_set._correct(U, residuals[1, :, :m], residuals[1, :, m:],
-                                out=U if alg == "DR" else S[:B])
+                                out=U if alg == "DR" else S[0])
             if alg == "DR":  # T_{k+1} = (T_k - P_A(T_k)) + P_B(2 P_A(T_k) - T_k)
-                np.add(np.subtract(S, PA, out=S), U, out=S)
+                np.add(np.subtract(S[0], PA, out=S[0]), U, out=S[0])
             elif alg == "DYK":  # R_{k+1} = W_k - A_{k+1}, W_{k+1} = T_{k+1} + R_{k+1}
-                np.add(S[:B], np.subtract(S[B:], U, out=U), out=S[B:])
+                np.add(S[0], np.subtract(S[1], U, out=U), out=S[1])
         if leaving:  # the update leaves P_A(T_k) as it was; copied after its temporaries are gone
             for j, P in zip(active[feasible], PA[feasible]):
                 stop[j] = k
                 found[j] = P
         if finished:
             break
-        del PA, U, state  # views of X and S, which leaving starts replace
+        del PA, U  # views of X, which leaving starts replace
         if leaving:  # done starts leave the next state and its saved copy
             X, keep = None, ~done
-            active, S = active[keep], S[np.tile(keep, len(S) // B)]
-            saved = tuple(half[keep] for half in saved)
+            active, S = active[keep], S[:, keep]
+            saved = None if saved is None else saved[:, keep]
     # a stopped row carries its final delta forward; a cycled row already holds its continuation
     np.copyto(deltas, deltas[np.arange(size), stop][:, None],
               where=np.arange(last + 1) > stop[:, None])

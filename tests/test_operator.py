@@ -34,6 +34,23 @@ def test_degeneracy_is_exact_zero_not_tolerance():
     assert op.f_is_zero
 
 
+@pytest.mark.parametrize("e, f", [
+    (np.full(5, 1e154), np.ones(4)),    # |e|^2 = 5e308 overflows
+    (np.full(5, 1e153), np.full(4, 1e154)),  # |f|^2 = 4e308 overflows
+    (np.array([1e154]), np.zeros(1)),   # |e|^2 = 1e308 is finite, 2|e|^2 is not
+])
+def test_weights_whose_norm_sums_overflow_are_refused(e, f):
+    # a projection built from an infinite norm misses its targets; refused before any numpy warning
+    with pytest.raises(ValueError, match="the weights are too large"):
+        ScaledMarginalOperator(e, f)
+
+
+def test_largest_accepted_weights_give_a_finite_projection():
+    e, f = np.full(5, 1e153), np.full(4, 1e153)   # 2|e|^2 + |f|^2 = 1.4e307
+    op = ScaledMarginalOperator(e, f)
+    assert np.isfinite(op.pinv_apply(MarginalPair(np.ones(4), np.ones(5)))).all()
+
+
 def test_weights_are_read_only():
     op = unit_operator(2, 2)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -125,8 +126,11 @@ def test_each_iteration_makes_one_box_call_and_one_affine_call(alg, monkeypatch)
     calls = {"box": [], "apply": [], "pinv": []}
 
     def counting(name, method):
+        # matrices in a box or A call, residual rows in an A^+ call, whatever the stack's layout
+        trailing = 1 if name == "pinv" else 2
+
         def counted(self, first, *args, **kwargs):
-            calls[name].append(len(first))  # matrices (or residual rows) in the call
+            calls[name].append(math.prod(first.shape[:-trailing]))
             return method(self, first, *args, **kwargs)
         return counted
 
@@ -141,6 +145,21 @@ def test_each_iteration_makes_one_box_call_and_one_affine_call(alg, monkeypatch)
     assert calls == {"box": [3 * state] + [2 * state] * 4,
                      "apply": [3 * applied] + [2 * applied] * 4,
                      "pinv": [3] + [2] * 3}
+
+
+@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("alg", ALGS)
+def test_the_callers_starts_keep_their_bits(alg, integer):
+    # the engine writes every update into its own state stack, never into the starts
+    affine_set, box = demo_problem(integer=integer)
+    starts = np.random.default_rng(81).uniform(-100.0, 100.0, size=(3, 4, 5))
+    starts[:, 0, 0] = -0.0
+    before = starts.copy()
+    cfg = SolverConfig(algorithm=alg, max_iterations=20)
+    run(affine_set, box, starts[0], cfg)
+    run_batch(affine_set, box, starts, cfg)
+    _solve(affine_set, box, starts, cfg)
+    assert same_bits(starts, before)
 
 
 @pytest.mark.parametrize("alg", ALGS)
@@ -544,7 +563,7 @@ def test_demo_integer_runs_take_the_cycle_exit_and_keep_their_traces(monkeypatch
     box_project = HyperBox._project
 
     def counting_project(self, T, out=None):
-        projected[0] += T.shape[0]
+        projected[0] += math.prod(T.shape[:-2])  # matrices, whatever the stack's layout
         return box_project(self, T, out=out)
 
     monkeypatch.setattr(HyperBox, "_project", counting_project)
