@@ -45,13 +45,8 @@ class AffineMarginalSet:
         T = as_matrix(T, shape=self.shape, name="T")
         s, r = self.target
         row_part, col_part = self.op._apply(T)
-        return self._correct(T, row_part - s, col_part - r)
-
-    def _correct(self, T, y, x, out=None):
-        """Unchecked T - A^+(y, x) for the residual (y, x) = A(T) - (s, r), on a matrix or
-        on each matrix of a stack, into ``out`` if given."""
-        K = self.op._pinv(y, x)
-        return np.subtract(T, K, out=K if out is None else out)
+        K = self.op._pinv(row_part - s, col_part - r)
+        return np.subtract(T, K, out=K)
 
 
 def make_affine_set(op, s, r):
@@ -61,16 +56,21 @@ def make_affine_set(op, s, r):
     range projection (s_bar, r_bar) = P_ranA(s, r), and the distance
     ||(s, r) - (s_bar, r_bar)|| is recorded as ``consistency_residual``.
     Both pairs are read-only copies, so a caller's later edit of s or r
-    changes nothing here.
+    changes nothing here. Targets whose range projection overflows float64
+    are refused.
     """
     s = frozen_copy(as_vector(s, dim=op.m, name="s"))
     r = frozen_copy(as_vector(r, dim=op.n, name="r"))
     target = MarginalPair(s, r)
-    projected = MarginalPair(*map(frozen_copy, op.project_range(target)))
-    residual = float(
-        np.sqrt(
-            np.sum((s - projected.row_part) ** 2) + np.sum((r - projected.col_part) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite targets are refused below
+        projected = MarginalPair(*map(frozen_copy, op.project_range(target)))
+        residual = float(
+            np.sqrt(
+                np.sum((s - projected.row_part) ** 2) + np.sum((r - projected.col_part) ** 2)
+            )
         )
-    )
+    if not (np.all(np.isfinite(projected.row_part)) and np.all(np.isfinite(projected.col_part))):
+        raise ValueError("the range-projected targets (s_bar, r_bar) have non-finite entries: "
+                         "the targets are too large for float64")
     return AffineMarginalSet(op=op, target=target, projected_target=projected,
                              consistency_residual=residual)

@@ -15,7 +15,9 @@ x * 1.0 == x exactly for every float64, -0.0 included.
 
 Degeneracy (e = 0 or f = 0) is decided by exact entrywise zero, never
 by a norm tolerance: the case split is algebraic, and near-zero weights
-intentionally take the generic (ill-conditioned) formula.
+intentionally take the generic (ill-conditioned) formula. Weights the
+formulas cannot use are refused: a nonzero e or f whose squared norm
+underflows to 0, and nonzero pairs whose norm factors overflow.
 """
 
 from dataclasses import dataclass, field
@@ -58,10 +60,21 @@ class ScaledMarginalOperator:
             e_norm_sq, f_norm_sq = float(e @ e), float(f @ f)
         if not np.isfinite(2.0 * e_norm_sq + f_norm_sq):  # the largest sum the formulas form
             raise ValueError("the weights are too large: 2|e|^2 + |f|^2 overflows float64")
+        e_is_zero, f_is_zero = bool(np.all(e == 0.0)), bool(np.all(f == 0.0))
+        if (e_norm_sq == 0.0 and not e_is_zero) or (f_norm_sq == 0.0 and not f_is_zero):
+            raise ValueError("the weights are too small: a nonzero e or f has a squared norm "
+                             "that underflows to 0")
+        if not (e_is_zero or f_is_zero):
+            a, b = np.float64(e_norm_sq), np.float64(f_norm_sq)
+            with np.errstate(over="ignore", divide="ignore"):  # refused below
+                quotients = ((2.0 * a + b) / a, 2.0 / (b * (2.0 * a + b)))
+            if not np.isfinite(quotients).all():  # the largest quotients _norm_factors forms
+                raise ValueError("the weights are too small: (2|e|^2 + |f|^2)/|e|^2 or "
+                                 "2/(|f|^2 (2|e|^2 + |f|^2)) overflows float64")
         object.__setattr__(self, "e_norm_sq", e_norm_sq)
         object.__setattr__(self, "f_norm_sq", f_norm_sq)
-        object.__setattr__(self, "e_is_zero", bool(np.all(e == 0.0)))
-        object.__setattr__(self, "f_is_zero", bool(np.all(f == 0.0)))
+        object.__setattr__(self, "e_is_zero", e_is_zero)
+        object.__setattr__(self, "f_is_zero", f_is_zero)
         object.__setattr__(self, "unit", bool(np.all(e == 1.0) and np.all(f == 1.0)))
 
     @property
@@ -130,16 +143,15 @@ class ScaledMarginalOperator:
 
     @cached_property
     def _norm_factors(self):
-        """The factors of _pinv_norm_sq; like _pinv, they divide by an |e|^2 that underflows to 0."""
+        """The factors of _pinv_norm_sq, all finite: __post_init__ refuses weights that overflow them."""
         a, b, m = np.float64(self.e_norm_sq), np.float64(self.f_norm_sq), self.m
         scale, fold = np.zeros(m + self.n), np.zeros((2, m + self.n))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale[:m] = 0.0 if self.e_is_zero else a ** -0.5
-            scale[m:] = 0.0 if self.f_is_zero else b ** -0.5
-            if not (self.e_is_zero or self.f_is_zero):
-                c = 2.0 * a + b
-                fold[0] = np.concatenate((self.f * np.sqrt(c / a), self.e * -np.sqrt(a / c))) / (a + b)
-                fold[1, m:] = self.e * np.sqrt(2.0 / (b * c))
+        scale[:m] = 0.0 if self.e_is_zero else a ** -0.5
+        scale[m:] = 0.0 if self.f_is_zero else b ** -0.5
+        if not (self.e_is_zero or self.f_is_zero):
+            c = 2.0 * a + b
+            fold[0] = np.concatenate((self.f * np.sqrt(c / a), self.e * -np.sqrt(a / c))) / (a + b)
+            fold[1, m:] = self.e * np.sqrt(2.0 / (b * c))
         return frozen_copy(scale), frozen_copy(fold)
 
     def _pinv_norm_sq(self, z):
@@ -149,7 +161,8 @@ class ScaledMarginalOperator:
         |y|^2/a + |x|^2/b - (sqrt(c/a) p/d - sqrt(a/c) q/d)^2 - 2 q^2/(b c), whose
         factors are all positive (e = 0 leaves |x|^2/b, f = 0 |y|^2/a). Each step is
         elementwise or a per-row np.vecdot, so a row has the same bits in any stack;
-        rounding can leave a value a little below zero, for a norm of 0.
+        rounding can leave a value a little below zero, for a norm of 0. The factors are
+        finite, so a zero z, -0.0 entries included, gives exactly 0.0.
         """
         scale, fold = self._norm_factors
         scaled, folded = z * scale, np.vecdot(z[..., None, :], fold)

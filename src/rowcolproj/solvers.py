@@ -24,10 +24,11 @@ deliberately computed from P_A(T_k), not from A_{k+1}, so all three
 algorithms share one criterion.
 
 In the integer-restricted case the same updates run unchanged with the
-rounding box projection, and feasibility additionally requires the sums
-M(P_A(T_k)) to equal the range-projected targets (s_bar, r_bar) exactly
-(delta_k's residual is zero). With unit weights these are integer sums,
-exact below 2^53, which separates float noise from true feasibility; a
+rounding box projection, and feasibility is one exact test in place of
+the tolerance: the sums M(P_A(T_k)) equal the range-projected targets
+(s_bar, r_bar), so delta_k's residual is zero and delta_k is exactly 0,
+within every tolerance. With unit weights these are integer sums, exact
+below 2^53, which separates float noise from true feasibility; a
 fractional target is never met.
 
 Integer runs also stop at their first repeated state. Each start's
@@ -152,9 +153,8 @@ def _solve(affine_set, box, T, cfg):
         # delta_k^2, and delta_k <= tol exactly when delta_k^2 <= bound
         delta_sq = op._pinv_norm_sq(residuals[0])
         deltas[active, k] = delta_sq
-        feasible = delta_sq <= bound
-        if box.integer_restricted and feasible.any():
-            feasible[feasible] = ~residuals[0][feasible].any(axis=-1)  # the sums are (s_bar, r_bar)
+        # an integer start is feasible when its sums are exactly (s_bar, r_bar): then delta_k = 0
+        feasible = ~residuals[0].any(axis=-1) if box.integer_restricted else delta_sq <= bound
         done = feasible
         if saved is not None:
             # a repeated state has the P_A and delta of the saved one, so it is never feasible;
@@ -171,9 +171,9 @@ def _solve(affine_set, box, T, cfg):
         if not finished:
             if box.integer_restricted and k > 0 and k & (k - 1) == 0:
                 saved, saved_at = S.copy(), k
-            # P_B(U): into U for DR, else as T_{k+1} into S[0]
-            affine_set._correct(U, residuals[1, :, :m], residuals[1, :, m:],
-                                out=U if alg == "DR" else S[0])
+            # P_B(U) = U - A^+(A(U) - (s, r)): into U for DR, else as T_{k+1} into S[0]
+            np.subtract(U, op._pinv(residuals[1, :, :m], residuals[1, :, m:]),
+                        out=U if alg == "DR" else S[0])
             if alg == "DR":  # T_{k+1} = (T_k - P_A(T_k)) + P_B(2 P_A(T_k) - T_k)
                 np.add(np.subtract(S[0], PA, out=S[0]), U, out=S[0])
             elif alg == "DYK":  # R_{k+1} = W_k - A_{k+1}, W_{k+1} = T_{k+1} + R_{k+1}

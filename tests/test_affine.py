@@ -343,7 +343,7 @@ def test_unit_projection_matches_textbook_terms_bit_for_bit(shape, data):
     s, r = afs.target
     expected = T - nine_pass_pinv(afs.op, row_part - s, col_part - r)
     # the engine's call on the whole stack, and the public projection of each matrix
-    assert same_bits(afs._correct(T, row_part - s, col_part - r), expected)
+    assert same_bits(T - afs.op._pinv(row_part - s, col_part - r), expected)
     for matrix, projected in zip(T, expected):
         assert same_bits(afs.project(matrix), projected)
     assert same_bits(T, before)

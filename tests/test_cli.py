@@ -263,7 +263,8 @@ def test_console_entry_point_help():
     (["experiment", "--iters", "1000000000000000"], "Unable to allocate"),
     # targets whose projection overflows float64
     (["project", "{tmp}/t.txt", "--row-sums", "1e308,1e308,1e308,1e308",
-      "--col-sums", "1e308,1e308,1e308,1e308,1e308"], "the projection has non-finite entries"),
+      "--col-sums", "1e308,1e308,1e308,1e308,1e308"],
+     "the range-projected targets (s_bar, r_bar) have non-finite entries"),
     (["solve", "--row-sums", "1e308,1e308", "--col-sums", "1e308,1e308"],
      "the range-projected targets (s_bar, r_bar) have non-finite entries"),
     # a run count that range() cannot measure
@@ -276,7 +277,7 @@ def test_console_entry_point_help():
     (["project", "{tmp}/t.txt", "--col-weights", "1e200,1e200,1e200,1e200,1e200"],
      "the weights are too large: 2|e|^2 + |f|^2 overflows float64"),
     (["project", "{tmp}/t.txt", "--row-weights", "1e-200,1e-200,1e-200,1e-200"],
-     "or the weights too small, for float64"),
+     "the weights are too small: a nonzero e or f has a squared norm that underflows to 0"),
 ])
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way to the error either
 def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys):

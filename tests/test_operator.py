@@ -29,7 +29,7 @@ def test_construction_caches_norms_and_flags():
 
 
 def test_degeneracy_is_exact_zero_not_tolerance():
-    op = ScaledMarginalOperator([1e-300, 0.0], [0.0, 0.0])
+    op = ScaledMarginalOperator([1e-150, 0.0], [0.0, 0.0])
     assert not op.e_is_zero
     assert op.f_is_zero
 
@@ -49,6 +49,43 @@ def test_largest_accepted_weights_give_a_finite_projection():
     e, f = np.full(5, 1e153), np.full(4, 1e153)   # 2|e|^2 + |f|^2 = 1.4e307
     op = ScaledMarginalOperator(e, f)
     assert np.isfinite(op.pinv_apply(MarginalPair(np.ones(4), np.ones(5)))).all()
+
+
+@pytest.mark.parametrize("e, f", [
+    (np.ones(5), np.full(4, 1e-200)),   # |f|^2 underflows to 0, so A^+ divides by 0
+    (np.full(5, 1e-200), np.zeros(4)),  # the same on the degenerate branch
+    (np.full(5, 1e-78), np.full(4, 1e-78)),  # 2/(|f|^2 (2|e|^2 + |f|^2)) = 3.6e310
+    (np.full(5, 1e-155), np.ones(4)),   # (2|e|^2 + |f|^2)/|e|^2 = 8e309
+])
+@pytest.mark.filterwarnings("error")  # refused before any numpy warning
+def test_weights_whose_norm_factors_underflow_or_overflow_are_refused(e, f):
+    with pytest.raises(ValueError, match="the weights are too small"):
+        ScaledMarginalOperator(e, f)
+
+
+# the smallest weights of each kind that are accepted, at 4x5
+SMALLEST_WEIGHTS = [
+    (np.full(5, 1e-77), np.full(4, 1e-77)),
+    (np.full(5, 1e-154), np.ones(4)),
+    (np.ones(5), np.full(4, 1e-154)),
+    (np.zeros(5), np.full(4, 1e-161)),
+    (np.full(5, 1e-161), np.zeros(4)),
+]
+
+
+@pytest.mark.parametrize("case", list(OPERATOR_MODES) + list(range(len(SMALLEST_WEIGHTS))))
+@pytest.mark.filterwarnings("error")
+def test_pinv_norm_sq_of_a_zero_residual_is_exactly_zero(case):
+    # the integer engine stops on a zero residual alone; its delta_k must then be exactly 0
+    if isinstance(case, str):
+        op = random_operator(np.random.default_rng(5), 4, 5, case)
+    else:
+        op = ScaledMarginalOperator(*SMALLEST_WEIGHTS[case])
+    zero = np.zeros(9)
+    zero[::2] = -0.0
+    stack = np.stack([zero, -zero, np.zeros(9)])
+    assert same_bits(op._pinv_norm_sq(zero), np.float64(0.0))
+    assert same_bits(op._pinv_norm_sq(stack), np.zeros(3))
 
 
 def test_weights_are_read_only():
