@@ -15,6 +15,7 @@ The classical sets are inputs to it, not separate code paths:
   all-ones targets.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,8 @@ def make_affine_set(op, s, r):
     target = MarginalPair(s, r)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite targets are refused below
         projected = MarginalPair(*map(frozen_copy, op.project_range(target)))
-        residual = float(
-            np.sqrt(
-                np.sum((s - projected.row_part) ** 2) + np.sum((r - projected.col_part) ** 2)
-            )
-        )
+        # hypot scales: the squares of finite differences may overflow
+        residual = math.hypot(*(s - projected.row_part), *(r - projected.col_part))
     if not (np.all(np.isfinite(projected.row_part)) and np.all(np.isfinite(projected.col_part))):
         raise ValueError("the range-projected targets (s_bar, r_bar) have non-finite entries: "
                          "the targets are too large for float64")

@@ -15,13 +15,14 @@ x * 1.0 == x exactly for every float64, -0.0 included.
 
 Degeneracy (e = 0 or f = 0) is decided by exact entrywise zero, never
 by a norm tolerance: the case split is algebraic, and near-zero weights
-intentionally take the generic (ill-conditioned) formula. Weights the
-formulas cannot use are refused: a nonzero e or f whose squared norm
-underflows to 0, and nonzero pairs whose norm factors overflow.
+intentionally take the generic (ill-conditioned) formula. The squared
+norms and the factors of ||A^+(y, x)||_F^2 are formed once, with every
+float64 error but underflow trapped, and weights that trap are refused.
+Scaling e, f and the targets by one power of two changes no bit of a
+projection, so such weights can be rescaled.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +42,7 @@ class MarginalPair(NamedTuple):
 
 @dataclass(frozen=True)
 class ScaledMarginalOperator:
-    """Immutable weight pair (e, f) with cached squared norms and zero and unit flags."""
+    """Immutable weight pair (e, f) with its squared norms, norm factors, and zero and unit flags."""
 
     e: np.ndarray
     f: np.ndarray
@@ -54,28 +55,31 @@ class ScaledMarginalOperator:
     def __post_init__(self):
         e = frozen_copy(as_vector(self.e, name="e"))
         f = frozen_copy(as_vector(self.f, name="f"))
+        e_is_zero, f_is_zero = bool(np.all(e == 0.0)), bool(np.all(f == 0.0))
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "f", f)
-        with np.errstate(over="ignore"):  # an overflowing norm is refused below
-            e_norm_sq, f_norm_sq = float(e @ e), float(f @ f)
-        if not np.isfinite(2.0 * e_norm_sq + f_norm_sq):  # the largest sum the formulas form
-            raise ValueError("the weights are too large: 2|e|^2 + |f|^2 overflows float64")
-        e_is_zero, f_is_zero = bool(np.all(e == 0.0)), bool(np.all(f == 0.0))
-        if (e_norm_sq == 0.0 and not e_is_zero) or (f_norm_sq == 0.0 and not f_is_zero):
-            raise ValueError("the weights are too small: a nonzero e or f has a squared norm "
-                             "that underflows to 0")
-        if not (e_is_zero or f_is_zero):
-            a, b = np.float64(e_norm_sq), np.float64(f_norm_sq)
-            with np.errstate(over="ignore", divide="ignore"):  # refused below
-                quotients = ((2.0 * a + b) / a, 2.0 / (b * (2.0 * a + b)))
-            if not np.isfinite(quotients).all():  # the largest quotients _norm_factors forms
-                raise ValueError("the weights are too small: (2|e|^2 + |f|^2)/|e|^2 or "
-                                 "2/(|f|^2 (2|e|^2 + |f|^2)) overflows float64")
-        object.__setattr__(self, "e_norm_sq", e_norm_sq)
-        object.__setattr__(self, "f_norm_sq", f_norm_sq)
         object.__setattr__(self, "e_is_zero", e_is_zero)
         object.__setattr__(self, "f_is_zero", f_is_zero)
         object.__setattr__(self, "unit", bool(np.all(e == 1.0) and np.all(f == 1.0)))
+        m, n = self.shape
+        scale, fold = np.zeros(m + n), np.zeros((2, m + n))
+        try:  # underflow is not trapped: a tiny entry's square may underflow within a norm
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                a, b = e @ e, f @ f
+                c = 2.0 * a + b
+                scale[:m] = 0.0 if e_is_zero else a ** -0.5
+                scale[m:] = 0.0 if f_is_zero else b ** -0.5
+                if not (e_is_zero or f_is_zero):
+                    fold[0] = np.concatenate((f * np.sqrt(c / a), e * -np.sqrt(a / c))) / (a + b)
+                    fold[1, m:] = e * np.sqrt(2.0 / (b * c))
+        except FloatingPointError:
+            raise ValueError("the weights are out of float64 range: their squared norms, or the "
+                             "factors of A^+ formed from them, overflow or divide by zero; scale e, "
+                             "f, s and r by one power of two, which changes no bit of the "
+                             "projection") from None
+        object.__setattr__(self, "e_norm_sq", float(a))
+        object.__setattr__(self, "f_norm_sq", float(b))
+        object.__setattr__(self, "_norm_factors", (frozen_copy(scale), frozen_copy(fold)))
 
     @property
     def n(self):
@@ -140,19 +144,6 @@ class ScaledMarginalOperator:
         if self.unit:
             return np.add(u[..., :, None], v[..., None, :])
         return u[..., :, None] * e + f[:, None] * v[..., None, :]
-
-    @cached_property
-    def _norm_factors(self):
-        """The factors of _pinv_norm_sq, all finite: __post_init__ refuses weights that overflow them."""
-        a, b, m = np.float64(self.e_norm_sq), np.float64(self.f_norm_sq), self.m
-        scale, fold = np.zeros(m + self.n), np.zeros((2, m + self.n))
-        scale[:m] = 0.0 if self.e_is_zero else a ** -0.5
-        scale[m:] = 0.0 if self.f_is_zero else b ** -0.5
-        if not (self.e_is_zero or self.f_is_zero):
-            c = 2.0 * a + b
-            fold[0] = np.concatenate((self.f * np.sqrt(c / a), self.e * -np.sqrt(a / c))) / (a + b)
-            fold[1, m:] = self.e * np.sqrt(2.0 / (b * c))
-        return frozen_copy(scale), frozen_copy(fold)
 
     def _pinv_norm_sq(self, z):
         """||A^+(y, x)||_F^2 for z = (y, x), or per row of a stack z (B, m + n), in O(m + n).

@@ -210,10 +210,17 @@ def _check_box(affine_set, box):
     if box.shape != affine_set.shape:
         raise ValueError(f"box shape {box.shape} does not match constraint shape {affine_set.shape}")
     if box.integer_restricted:
-        # the exact integer-sum check needs every partial sum of box entries below 2^53
+        # the exact integer-sum check needs integer weights and every partial weighted sum
+        # of box entries below 2^53
+        e, f = np.abs(affine_set.op.e), np.abs(affine_set.op.f)
+        if not all(np.array_equal(np.trunc(w), w) for w in (e, f)):
+            raise ValueError("an integer-restricted box needs integer weights e and f: other "
+                             "weighted sums of integers are not exact in float64")
         reach = np.maximum(np.abs(box.lower), np.abs(box.upper))
-        if max(reach.sum(axis=1).max(), reach.sum(axis=0).max()) >= EXACT_INTEGER_LIMIT:
-            raise ValueError("integer-restricted box is too large: a row or column sum "
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, refused below
+            largest = max((reach @ e).max(), (f @ reach).max())
+        if largest >= EXACT_INTEGER_LIMIT:
+            raise ValueError("integer-restricted box is too large: a weighted row or column sum "
                              "of its entries could reach 2^53, beyond exact float64 integers")
 
 

@@ -24,17 +24,21 @@ DEMO_COL_SUMS = np.array([24.0, 18.0, 37.0, 27.0, 25.0])
 OPERATOR_MODES = ("generic", "e_zero", "f_zero", "both_zero", "sparse", "unit")
 
 
-def random_operator(rng, m, n, mode="generic"):
+def random_operator(rng, m, n, mode="generic", integer=False):
     """Weight operator for one test case, covering all degeneracy modes.
 
     "sparse" zeroes individual entries (vectors stay nonzero), which
     exercises redundancy handling that depends on nonzero coefficients.
     "unit" is the all-ones operator, whose pseudoinverse has its own kernel.
+    ``integer`` rounds the drawn weights away from zero to integers, as an
+    integer box needs; it draws the same numbers from ``rng``.
     """
     if mode == "unit":
         return unit_operator(m, n)
     e = rng.normal(size=n)
     f = rng.normal(size=m)
+    if integer:
+        e, f = np.copysign(np.ceil(3.0 * np.abs(e)), e), np.copysign(np.ceil(3.0 * np.abs(f)), f)
     if mode == "e_zero":
         e = np.zeros(n)
     elif mode == "f_zero":

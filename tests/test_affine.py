@@ -46,6 +46,14 @@ def test_inconsistent_targets_are_range_projected():
     assert afs.consistency_residual == pytest.approx(2.0, abs=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
+def test_residual_of_targets_far_from_the_range_is_finite():
+    # the squares of the 1e200 differences overflow; their norm does not
+    afs = make_affine_set(unit_operator(2, 2), [1e200, 1e200], [-1e200, -1e200])
+    assert np.array_equal(afs.projected_target.row_part, [0.0, 0.0])
+    assert afs.consistency_residual == 2e200
+
+
 def test_targets_are_read_only_copies():
     s, r = DEMO_ROW_SUMS.copy(), DEMO_COL_SUMS.copy()
     afs = make_affine_set(unit_operator(4, 5), s, r)

@@ -275,9 +275,9 @@ def test_console_entry_point_help():
     (["experiment", "--out-dir", "{tmp}/out/run/" + "x" * 300], "File name too long"),
     # weights whose squared norms overflow, and weights whose squared norm underflows to 0
     (["project", "{tmp}/t.txt", "--col-weights", "1e200,1e200,1e200,1e200,1e200"],
-     "the weights are too large: 2|e|^2 + |f|^2 overflows float64"),
+     "the weights are out of float64"),
     (["project", "{tmp}/t.txt", "--row-weights", "1e-200,1e-200,1e-200,1e-200"],
-     "the weights are too small: a nonzero e or f has a squared norm that underflows to 0"),
+     "by one power of two"),
 ])
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way to the error either
 def test_invalid_input_ends_with_one_line_error(argv, message, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rowcolproj.linalg import frobenius_norm
 from rowcolproj.operator import MarginalPair, ScaledMarginalOperator, unit_operator
@@ -41,14 +43,23 @@ def test_degeneracy_is_exact_zero_not_tolerance():
 ])
 def test_weights_whose_norm_sums_overflow_are_refused(e, f):
     # a projection built from an infinite norm misses its targets; refused before any numpy warning
-    with pytest.raises(ValueError, match="the weights are too large"):
+    with pytest.raises(ValueError, match="the weights are out of float64 range"):
         ScaledMarginalOperator(e, f)
 
 
 def test_largest_accepted_weights_give_a_finite_projection():
-    e, f = np.full(5, 1e153), np.full(4, 1e153)   # 2|e|^2 + |f|^2 = 1.4e307
+    e, f = np.full(5, 1e76), np.full(4, 1e76)   # |f|^2 (2|e|^2 + |f|^2) = 5.6e305
     op = ScaledMarginalOperator(e, f)
     assert np.isfinite(op.pinv_apply(MarginalPair(np.ones(4), np.ones(5)))).all()
+    assert all(np.isfinite(factor).all() for factor in op._norm_factors)
+
+
+@pytest.mark.filterwarnings("error")
+def test_weights_whose_norm_factor_product_overflows_are_refused():
+    # |f|^2 (2|e|^2 + |f|^2) = 5.6e309 overflows, and 2 over it rounds to 0 rather than
+    # overflowing: that factor would be 0, and _pinv_norm_sq wrong by percents
+    with pytest.raises(ValueError, match="scale e, f, s and r by one power of two"):
+        ScaledMarginalOperator(np.full(5, 1e77), np.full(4, 1e77))
 
 
 @pytest.mark.parametrize("e, f", [
@@ -59,7 +70,7 @@ def test_largest_accepted_weights_give_a_finite_projection():
 ])
 @pytest.mark.filterwarnings("error")  # refused before any numpy warning
 def test_weights_whose_norm_factors_underflow_or_overflow_are_refused(e, f):
-    with pytest.raises(ValueError, match="the weights are too small"):
+    with pytest.raises(ValueError, match="the weights are out of float64 range"):
         ScaledMarginalOperator(e, f)
 
 
@@ -86,6 +97,52 @@ def test_pinv_norm_sq_of_a_zero_residual_is_exactly_zero(case):
     stack = np.stack([zero, -zero, np.zeros(9)])
     assert same_bits(op._pinv_norm_sq(zero), np.float64(0.0))
     assert same_bits(op._pinv_norm_sq(stack), np.zeros(3))
+
+
+WEIGHT_KINDS = ("zero", "constant", "mixed", "random", "partly_zero")
+
+
+def weight_vector(rng, kind, size, exponent):
+    """A weight vector of one kind at magnitude 10**exponent ("mixed": one magnitude per entry)."""
+    if kind == "zero":
+        return np.zeros(size)
+    if kind == "constant":
+        return np.full(size, 10.0 ** exponent * rng.choice([-1.0, 1.0]))
+    if kind == "mixed":
+        return rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-330, 160, size=size)
+    v = rng.normal(size=size) * 10.0 ** exponent
+    if kind == "partly_zero":
+        v[rng.random(size) < 0.5] = 0.0
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    kinds=st.tuples(st.sampled_from(WEIGHT_KINDS), st.sampled_from(WEIGHT_KINDS)),
+    exponents=st.tuples(st.floats(-330, 160), st.floats(-330, 160)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(m=4, n=5, kinds=("constant", "constant"), exponents=(77.0, 77.0), seed=0)
+@pytest.mark.filterwarnings("error")
+def test_weights_are_refused_or_give_finite_and_accurate_norm_factors(m, n, kinds, exponents, seed):
+    rng = np.random.default_rng(seed)
+    e = weight_vector(rng, kinds[0], n, exponents[0])
+    f = weight_vector(rng, kinds[1], m, exponents[1])
+    try:
+        op = ScaledMarginalOperator(e, f)
+    except ValueError:
+        return
+    assert all(np.isfinite(factor).all() for factor in op._norm_factors)
+    y, x = op._apply(rng.normal(size=(m, n)))
+    fast = op._pinv_norm_sq(np.concatenate((y, x)))
+    with np.errstate(over="ignore"):  # with e = 0, A^+ forms f x^T before dividing by |f|^2
+        full = np.sum(op._pinv(y, x) ** 2)
+    # a nonzero squared norm below 2^-1022 keeps few significant bits, and A^+ loses them too
+    normal = all(norm == 0.0 or norm >= np.finfo(float).tiny for norm in (op.e_norm_sq, op.f_norm_sq))
+    if normal and np.isfinite(full):
+        assert fast == pytest.approx(full, rel=1e-12)
 
 
 def test_weights_are_read_only():

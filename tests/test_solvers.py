@@ -427,11 +427,10 @@ def test_degenerate_operator_runs_on_python_path():
 def test_batch_runs_match_reference_and_single_runs_bit_for_bit(
         m, n, mode, integer, size, max_iterations, tol, seed):
     # The targets are the weighted sums of a nonnegative integer matrix in
-    # the box, so the problem is feasible; integer runs can only succeed
-    # with unit weights, where the projected targets are integral.
+    # the box, so the problem is feasible; an integer box takes integer weights.
     rng = np.random.default_rng(seed)
     M = rng.integers(0, 10, size=(m, n)).astype(float)
-    op = random_operator(rng, m, n, mode)
+    op = random_operator(rng, m, n, mode, integer=integer)
     affine_set = make_affine_set(op, M @ op.e, M.T @ op.f)
     box = make_box(M.sum(axis=1), M.sum(axis=0), integer_restricted=integer)
     starts = rng.uniform(-20.0, 20.0, size=(size, m, n))
@@ -487,6 +486,26 @@ def test_integer_box_rejects_sums_beyond_exact_floats():
     solve([1e17, 1e17], [1e17, 1e17], make_box([1e17, 1e17], [1e17, 1e17]))  # no exact-sum claim
 
 
+def test_integer_box_needs_integer_weights_and_exact_weighted_sums():
+    cfg = SolverConfig(algorithm="DR", max_iterations=50)
+    X = np.array([[1.0, 1.0, 1.0], [2.0, 0.0, 1.0]])
+    box = HyperBox(lower=np.zeros((2, 3)), upper=np.full((2, 3), 2.0), integer_restricted=True)
+    # A(X) - s_bar is 1.1e-16 as computed, so with these weights "feasible" decides nothing
+    op = ScaledMarginalOperator([0.1, 0.2, 0.3], [0.7, 0.1])
+    with pytest.raises(ValueError, match="integer weights"):
+        run(make_affine_set(op, *op.apply(X)), box, X, cfg)
+    # the reach's unweighted row and column sums are at most 3e6, a weighted one 1e16 > 2^53
+    wide = HyperBox(lower=np.zeros((2, 3)), upper=np.full((2, 3), 1e6), integer_restricted=True)
+    for op in (ScaledMarginalOperator([1e10, 1.0, 1.0], [1.0, 1.0]),
+               ScaledMarginalOperator([1.0, 1.0, 1.0], [1e10, 1.0])):
+        affine_set = make_affine_set(op, *op.apply(X))
+        with pytest.raises(ValueError, match="2\\^53"):
+            run(affine_set, wide, X, cfg)
+        with pytest.raises(ValueError, match="2\\^53"):
+            run_batch(affine_set, wide, X[None], cfg)
+        assert run(affine_set, box, X, cfg).first_feasible_iteration == 0  # exact sums
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(1, 5),
@@ -498,11 +517,10 @@ def test_integer_box_rejects_sums_beyond_exact_floats():
 )
 def test_integer_runs_that_repeat_a_state_keep_full_length_traces(
         m, n, mode, size, max_iterations, seed):
-    # Only unit weights give integral projected targets; with other weights
-    # no integer run can converge, so every start runs into the cap or a cycle.
+    # An integer box takes integer weights, whose sums of an integer matrix are exact.
     rng = np.random.default_rng(seed)
     M = rng.integers(0, 10, size=(m, n)).astype(float)
-    op = random_operator(rng, m, n, mode)
+    op = random_operator(rng, m, n, mode, integer=True)
     affine_set = make_affine_set(op, M @ op.e, M.T @ op.f)
     box = make_box(M.sum(axis=1), M.sum(axis=0), integer_restricted=True)
     starts = rng.uniform(-20.0, 20.0, size=(size, m, n))
@@ -540,7 +558,7 @@ def test_signed_zeros_and_negative_bounds_match_the_reference_bit_for_bit(
     box = HyperBox(lower=signed_zeros(-depth.astype(float)),
                    upper=signed_zeros((width - depth).astype(float)), integer_restricted=integer)
     M = (rng.integers(0, width + 1) - depth).astype(float)  # a point of the box
-    op = random_operator(rng, m, n, mode)
+    op = random_operator(rng, m, n, mode, integer=integer)
     affine_set = make_affine_set(op, M @ op.e, M.T @ op.f)
     starts = rng.choice([-0.0, 0.0, -0.5, 0.5, -1.0, 1.5, -3.0], size=(size, m, n))
     for alg in ALGS:

@@ -20,10 +20,11 @@ and 2; an experiment on the targets s = (0, 10), r = (0, 0), whose range
 projection has negative entries (exit status 2, one stderr line, no
 --out-dir); the stdout of 36 single ``solve`` runs from drawn starts and of
 two from a fixed 4x5 start matrix (``--input``, convex and integer);
-and the stdout of eight ``project`` calls of that matrix (default
+and the stdout of nine ``project`` calls of that matrix (default
 targets, given targets, a target shape the matrix does not have,
 general weights, explicit all-ones weights, zero row weights, zero
-column weights, both zero).
+column weights, both zero, and all weights 1e76, the largest
+all-equal weights the operator accepts at 4x5).
 
 A change of harness.SCHEMA_VERSION announces different output in what
 the schema defines: summary.json, deltas.csv, schema.json and the delta
@@ -60,6 +61,8 @@ PROJECT_FLAGS = (
     ["--row-weights", "0,0,0,0"],
     ["--col-weights", "0,0,0,0,0"],
     ["--row-weights", "0,0,0,0", "--col-weights", "0,0,0,0,0"],
+    # the accepted boundary: at 1e77 a norm factor overflows and the weights are refused
+    ["--row-weights", ",".join(["1e76"] * 4), "--col-weights", ",".join(["1e76"] * 5)],
 )
 
 
