@@ -17,7 +17,8 @@ Degeneracy (e = 0 or f = 0) is decided by exact entrywise zero, never
 by a norm tolerance: the case split is algebraic, and near-zero weights
 intentionally take the generic (ill-conditioned) formula. The squared
 norms and the factors of ||A^+(y, x)||_F^2 are formed once, with every
-float64 error but underflow trapped, and weights that trap are refused.
+float64 error but underflow trapped, and weights that trap, or whose
+nonzero squared norm is subnormal (below 2^-1022), are refused.
 Scaling e, f and the targets by one power of two changes no bit of a
 projection, so such weights can be rescaled.
 """
@@ -66,6 +67,8 @@ class ScaledMarginalOperator:
         try:  # underflow is not trapped: a tiny entry's square may underflow within a norm
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 a, b = e @ e, f @ f
+                if any(0.0 < norm < np.finfo(np.float64).tiny for norm in (a, b)):
+                    raise FloatingPointError  # a subnormal norm keeps too few bits for A^+
                 c = 2.0 * a + b
                 scale[:m] = 0.0 if e_is_zero else a ** -0.5
                 scale[m:] = 0.0 if f_is_zero else b ** -0.5
@@ -73,10 +76,10 @@ class ScaledMarginalOperator:
                     fold[0] = np.concatenate((f * np.sqrt(c / a), e * -np.sqrt(a / c))) / (a + b)
                     fold[1, m:] = e * np.sqrt(2.0 / (b * c))
         except FloatingPointError:
-            raise ValueError("the weights are out of float64 range: their squared norms, or the "
-                             "factors of A^+ formed from them, overflow or divide by zero; scale e, "
-                             "f, s and r by one power of two, which changes no bit of the "
-                             "projection") from None
+            raise ValueError("the weights are out of float64 range: their squared norms are "
+                             "subnormal, or they or the factors of A^+ formed from them overflow "
+                             "or divide by zero; scale e, f, s and r by one power of two, which "
+                             "changes no bit of the projection") from None
         object.__setattr__(self, "e_norm_sq", float(a))
         object.__setattr__(self, "f_norm_sq", float(b))
         object.__setattr__(self, "_norm_factors", (frozen_copy(scale), frozen_copy(fold)))

@@ -54,7 +54,8 @@ delta_k sequence and first feasible point are bit for bit the same
 whether it runs alone (:func:`run`) or inside any batch
 (:func:`run_batch`). A start leaves the stack at its first feasible or
 repeated state. The engine also returns each start's full-length delta
-row, in which a feasible stop carries its final delta forward.
+row: a feasible row's tail is written when the row leaves the stack,
+and a cycled row's tail at its cycle check.
 """
 
 import math
@@ -125,8 +126,7 @@ def _solve(affine_set, box, T, cfg):
     alg, last = cfg.algorithm, cfg.max_iterations
     size = T.shape[0]
     deltas = np.empty((size, last + 1))
-    stop = np.full(size, last)          # iteration of each start's final delta
-    found = [None] * size
+    exits = [(last, None)] * size       # each start's final iteration and first feasible point
     active = np.arange(size)            # start index of each matrix in the stack
     # S is a (parts, B, m, n) copy of the state: (T_k,), or Dykstra's (T_k, W_k), where
     # W_0 = T_0 + R_0 with R_0 = 0 turns -0.0 into +0.0. Each update writes the next state into S.
@@ -179,9 +179,10 @@ def _solve(affine_set, box, T, cfg):
             elif alg == "DYK":  # R_{k+1} = W_k - A_{k+1}, W_{k+1} = T_{k+1} + R_{k+1}
                 np.add(S[0], np.subtract(S[1], U, out=U), out=S[1])
         if leaving:  # the update leaves P_A(T_k) as it was; copied after its temporaries are gone
-            for j, P in zip(active[feasible], PA[feasible]):
-                stop[j] = k
-                found[j] = P
+            rows = active[feasible]
+            deltas[rows, k + 1:] = delta_sq[feasible, None]  # final delta, carried forward
+            for j, P in zip(rows, PA[feasible]):
+                exits[j] = (k, P)
         if finished:
             break
         del PA, U  # views of X, which leaving starts replace
@@ -189,20 +190,17 @@ def _solve(affine_set, box, T, cfg):
             X, keep = None, ~done
             active, S = active[keep], S[:, keep]
             saved = None if saved is None else saved[:, keep]
-    # a stopped row carries its final delta forward; a cycled row already holds its continuation
-    np.copyto(deltas, deltas[np.arange(size), stop][:, None],
-              where=np.arange(last + 1) > stop[:, None])
     np.sqrt(np.maximum(deltas, 0.0, out=deltas), out=deltas)  # the table held delta_k^2
     return deltas, [
         SolverTrace(
             algorithm=alg,
-            # a copy: a view would keep the whole row alive in every caller that holds a trace
-            deltas=deltas[j, :stop[j] + 1].copy(),
-            first_feasible_iteration=None if found[j] is None else int(stop[j]),
-            first_feasible_matrix=found[j],
-            converged=found[j] is not None,
+            # a copy: a view would keep the whole table alive in every caller that holds a trace
+            deltas=deltas[j, :k + 1].copy(),
+            first_feasible_iteration=None if P is None else k,
+            first_feasible_matrix=P,
+            converged=P is not None,
         )
-        for j in range(size)
+        for j, (k, P) in enumerate(exits)
     ]
 
 
@@ -226,9 +224,7 @@ def _check_box(affine_set, box):
 
 def run(affine_set: AffineMarginalSet, box: HyperBox, T0, cfg: SolverConfig):
     """Run cfg.algorithm from T0; see the module docstring for the updates."""
-    T0 = as_matrix(T0, shape=affine_set.shape, name="T0")
-    _check_box(affine_set, box)
-    return _solve(affine_set, box, T0[None], cfg)[1][0]
+    return run_batch(affine_set, box, as_matrix(T0, shape=affine_set.shape, name="T0")[None], cfg)[0]
 
 
 def run_batch(affine_set: AffineMarginalSet, box: HyperBox, starts, cfg: SolverConfig):

@@ -67,6 +67,10 @@ def test_weights_whose_norm_factor_product_overflows_are_refused():
     (np.full(5, 1e-200), np.zeros(4)),  # the same on the degenerate branch
     (np.full(5, 1e-78), np.full(4, 1e-78)),  # 2/(|f|^2 (2|e|^2 + |f|^2)) = 3.6e310
     (np.full(5, 1e-155), np.ones(4)),   # (2|e|^2 + |f|^2)/|e|^2 = 8e309
+    # a squared norm below 2^-1022 keeps few significant bits, and A^+ loses them
+    (np.full(5, 1e-157), np.full(4, 1e-3)),  # |e|^2 = 5e-314: A^+ was off by up to 2.9e-11
+    (np.zeros(5), np.full(4, 1e-161)),  # |f|^2 = 4e-322 on the degenerate branches
+    (np.full(5, 1e-161), np.zeros(4)),
 ])
 @pytest.mark.filterwarnings("error")  # refused before any numpy warning
 def test_weights_whose_norm_factors_underflow_or_overflow_are_refused(e, f):
@@ -74,13 +78,13 @@ def test_weights_whose_norm_factors_underflow_or_overflow_are_refused(e, f):
         ScaledMarginalOperator(e, f)
 
 
-# the smallest weights of each kind that are accepted, at 4x5
+# the smallest weights of each kind accepted at 4x5; each nonzero squared norm is 4e-308 or more
 SMALLEST_WEIGHTS = [
     (np.full(5, 1e-77), np.full(4, 1e-77)),
     (np.full(5, 1e-154), np.ones(4)),
     (np.ones(5), np.full(4, 1e-154)),
-    (np.zeros(5), np.full(4, 1e-161)),
-    (np.full(5, 1e-161), np.zeros(4)),
+    (np.zeros(5), np.full(4, 1e-154)),
+    (np.full(5, 1e-154), np.zeros(4)),
 ]
 
 
@@ -139,9 +143,7 @@ def test_weights_are_refused_or_give_finite_and_accurate_norm_factors(m, n, kind
     fast = op._pinv_norm_sq(np.concatenate((y, x)))
     with np.errstate(over="ignore"):  # with e = 0, A^+ forms f x^T before dividing by |f|^2
         full = np.sum(op._pinv(y, x) ** 2)
-    # a nonzero squared norm below 2^-1022 keeps few significant bits, and A^+ loses them too
-    normal = all(norm == 0.0 or norm >= np.finfo(float).tiny for norm in (op.e_norm_sq, op.f_norm_sq))
-    if normal and np.isfinite(full):
+    if np.isfinite(full):
         assert fast == pytest.approx(full, rel=1e-12)
 
 
