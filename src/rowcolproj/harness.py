@@ -17,7 +17,6 @@ a process pool, and joined in block order, so the output is
 byte-identical whatever the blocking, ``jobs`` or worker scheduling.
 """
 
-import json
 import os
 import sys
 from collections import Counter
@@ -40,11 +39,11 @@ SCHEMA_VERSION = 4
 
 # Float64 entries per engine call's stack of starts (2 MiB). The engine
 # keeps several stacks of that size alive: its state (T, and T + R for
-# Dykstra), the box projection, the update's correction and temporaries,
-# and for an integer box a saved copy of the state for its repeated-state
-# exit. tracemalloc peaks on 128 starts of 32x64, in stacks: convex 4.3 DR,
-# 3.3 MAP and 5.3 Dykstra; integer 5.3, 4.3 and 8.2. So this bounds a
-# batch's memory whatever num_runs is; results do not depend on the blocking.
+# Dykstra), the box projection (A^+'s correction goes into one of these),
+# and for an integer box the rounding's temporaries and a saved state for its
+# repeated-state exit. tracemalloc peaks on 128 starts of 32x64, in stacks:
+# convex 3.8 DR, 2.4 MAP and 4.4 Dykstra; integer 5.2, 4.3 and 8.2. So this
+# bounds a batch's memory whatever num_runs is; results do not depend on the blocking.
 BLOCK_ENTRIES = 2 ** 18
 
 DISPLAY_NAMES = {"DR": "DR", "MAP": "MAP", "DYK": "Dyk"}
@@ -313,13 +312,16 @@ def summarize(records, spec, tables, projected_target):
     delta_stats = {}
     for key in ALGORITHMS:
         table = np.concatenate([block[key] for block in tables])
+        # each column after the last one that differs, bitwise, from the final column copies it
+        differs = np.flatnonzero((table.view(np.int64) != table[:, -1:].view(np.int64)).any(axis=0))
+        width = differs[-1] + 2 if differs.size else 1
+        tail, table = table.shape[1] - width, table[:, :width]
         low, high = table.min(axis=0).tolist(), table.max(axis=0).tolist()
         # the join is a fresh array, so the median may reorder it in place
+        median = np.median(table, axis=0, overwrite_input=True).tolist()
         delta_stats[DISPLAY_NAMES[key]] = {
-            "median": np.median(table, axis=0, overwrite_input=True).tolist(),
-            "min": low,
-            "max": high,
-        }
+            name: values + values[-1:] * tail
+            for name, values in (("median", median), ("min", low), ("max", high))}
         del table  # before the next join
     convergence = {
         DISPLAY_NAMES[key]: sum(1 for rec in records if rec.results[key].converged)
@@ -373,6 +375,8 @@ def emit_outputs(records, summary, out_dir):
     ``out_dir`` is a path or a string. I/O errors propagate with the
     offending path in the exception.
     """
+    import json  # here, so that importing the package does not load it
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = ["run_index"]

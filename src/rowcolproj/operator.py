@@ -106,9 +106,15 @@ class ScaledMarginalOperator:
         """A(T) = (T e, T^T f): e-weighted row sums and f-weighted column sums."""
         return MarginalPair(*self._apply(as_matrix(T, shape=self.shape, name="T")))
 
-    def _apply(self, T):
-        """Unchecked A on a matrix or on each matrix of a (B, m, n) stack."""
-        return T @ self.e, np.swapaxes(T, -1, -2) @ self.f
+    def _apply(self, T, out=None):
+        """Unchecked A on a matrix or on each matrix of a (B, m, n) stack; ``out``, if given,
+        an (..., m + n) array, takes T e and then T^T f, and is returned."""
+        if out is None:
+            return T @ self.e, T.mT @ self.f
+        m = self.f.shape[0]
+        np.matmul(T, self.e, out[..., :m])
+        np.matmul(T.mT, self.f, out[..., m:])
+        return out
 
     def pinv_apply(self, p):
         """Moore-Penrose inverse A^+(y, x), by the exact four-case formula.
@@ -124,29 +130,29 @@ class ScaledMarginalOperator:
         """
         return self._pinv(*self._check_pair(p))
 
-    def _pinv(self, y, x):
+    def _pinv(self, y, x, out=None):
         """Unchecked A^+ on a pair, or pairwise on stacks y (B, m) and x (B, n).
 
         Stacked pairs give, pair by pair, the same bits as single ones:
         every step is elementwise, and np.vecdot takes one dot product
         per pair as the 1-d product f @ y does. Unit weights skip the
         products (f.y/d) f, (e.x/d) e, u e^T and f v^T, whose factors
-        of 1.0 change no bit.
+        of 1.0 change no bit. ``out``, if given, takes the result.
         """
         e, f = self.e, self.f
-        if self.e_is_zero and self.f_is_zero:
-            return np.zeros(y.shape[:-1] + self.shape)
+        if self.e_is_zero and self.f_is_zero:  # np.positive copies into out, if given
+            return np.positive(np.zeros(y.shape[:-1] + self.shape), out=out)
         if self.e_is_zero:
-            return f[:, None] * x[..., None, :] / self.f_norm_sq
+            return np.divide(f[:, None] * x[..., None, :], self.f_norm_sq, out=out)
         if self.f_is_zero:
-            return y[..., :, None] * e / self.e_norm_sq
+            return np.divide(y[..., :, None] * e, self.e_norm_sq, out=out)
         denom = self.e_norm_sq + self.f_norm_sq
         fy, ex = (np.vecdot(y, f) / denom)[..., None], (np.vecdot(x, e) / denom)[..., None]
         u = (y - (fy if self.unit else fy * f)) / self.e_norm_sq
         v = (x - (ex if self.unit else ex * e)) / self.f_norm_sq
         if self.unit:
-            return np.add(u[..., :, None], v[..., None, :])
-        return u[..., :, None] * e + f[:, None] * v[..., None, :]
+            return np.add(u[..., :, None], v[..., None, :], out=out)
+        return np.add(u[..., :, None] * e, f[:, None] * v[..., None, :], out=out)
 
     def _pinv_norm_sq(self, z):
         """||A^+(y, x)||_F^2 for z = (y, x), or per row of a stack z (B, m + n), in O(m + n).

@@ -48,7 +48,9 @@ for bit the one a full-length run gives.
 One engine runs every start of a batch as a (B, m, n) stack. It holds
 the state as a (parts, B, m, n) stack, (T_k,) or (T_k, W_k), and the
 box output likewise, 1 part for MAP and 2 for DR and Dykstra; the
-repeated-state check compares the whole state stack. Each step
+repeated-state check compares the whole state stack. A writes its sums
+into a residual buffer and A^+ its output into a dead part of a stack
+(their out forms); buffers are remade only when starts leave. Each step
 is elementwise or acts on each matrix of the stack alone, so a start's
 delta_k sequence and first feasible point are bit for bit the same
 whether it runs alone (:func:`run`) or inside any batch
@@ -131,9 +133,8 @@ def _solve(affine_set, box, T, cfg):
     # S is a (parts, B, m, n) copy of the state: (T_k,), or Dykstra's (T_k, W_k), where
     # W_0 = T_0 + R_0 with R_0 = 0 turns -0.0 into +0.0. Each update writes the next state into S.
     S = np.stack((T, T + 0.0) if alg == "DYK" else (T,))
-    # X takes the box projection of S, and for DR 2 P_A(T_k) - T_k after it: 1 part for MAP,
-    # 2 for DR and Dykstra. One buffer, made again only when starts leave, keeps the heap
-    # from shrinking and regrowing (page faults) each iteration.
+    # Buffers made again only when starts leave keep the heap from shrinking and regrowing
+    # (page faults): X takes the box projection of S, for DR with 2 P_A(T_k) - T_k after it
     X = None
     saved, saved_at = None, 0           # each active start's state at iteration saved_at
     op, m = affine_set.op, affine_set.shape[0]
@@ -143,53 +144,58 @@ def _solve(affine_set, box, T, cfg):
     for k in range(last + 1):
         if X is None:
             X = np.empty((1 if alg == "MAP" else 2,) + S.shape[1:])
-        box._project(S, out=X[:len(S)])
-        # P_A(T_k), and the point the update projects onto B: the same one for MAP
-        PA, U = X[0], X[-1]
+            # P_A(T_k), and the point the update projects onto B: the same one for MAP
+            boxed, PA, U = X[:len(S)], X[0], X[-1]
+            # M(P_A(T_k)) - (s_bar, r_bar) and M(U) - (s, r); MAP's sums serve both, from a
+            # buffer of their own, as numpy would copy an operand that overlaps the output
+            Z = np.empty((2, len(active), targets.shape[-1]))
+            sums = Z if alg != "MAP" else np.empty_like(Z[:1])
+            delta_row, y, x = Z[0], Z[1, :, :m], Z[1, :, m:]
+            # T_k and Dykstra's W_k; K is T_k, free once boxed, or DR's P_A(T_k), free once
+            # subtracted from T_k
+            S0, S1, K = S[0], S[-1], PA if alg == "DR" else S[0]
+        box._project(S, out=boxed)
         if alg == "DR":
-            np.subtract(np.multiply(2.0, PA, out=U), S[0], out=U)
-        # both residuals in one subtraction: M(P_A(T_k)) - (s_bar, r_bar) and M(U) - (s, r)
-        residuals = np.concatenate(op._apply(X), axis=-1) - targets
+            np.subtract(np.multiply(2.0, PA, out=U), S0, out=U)
+        np.subtract(op._apply(X, out=sums), targets, out=Z)
         # delta_k^2, and delta_k <= tol exactly when delta_k^2 <= bound
-        delta_sq = op._pinv_norm_sq(residuals[0])
+        delta_sq = op._pinv_norm_sq(delta_row)
         deltas[active, k] = delta_sq
         # an integer start is feasible when its sums are exactly (s_bar, r_bar): then delta_k = 0
-        feasible = ~residuals[0].any(axis=-1) if box.integer_restricted else delta_sq <= bound
+        feasible = ~delta_row.any(axis=-1) if box.integer_restricted else delta_sq <= bound
         done = feasible
         if saved is not None:
             # a repeated state has the P_A and delta of the saved one, so it is never feasible;
             # compared as int64, so -0.0 and +0.0 differ
             cycled = (S.view(np.int64) == saved.view(np.int64)).all(axis=(0, 2, 3))
-            if cycled.any():
+            if np.count_nonzero(cycled):
                 # state k equals state saved_at, so iteration t >= k repeats source[t - k]
                 source = saved_at + (np.arange(k, last + 1) - saved_at) % (k - saved_at)
                 rows = active[cycled]
                 deltas[rows, k:] = deltas[rows][:, source]
                 done = feasible | cycled
-        leaving = done.any()
-        finished = k == last or leaving and done.all()
-        if not finished:
-            if box.integer_restricted and k > 0 and k & (k - 1) == 0:
-                saved, saved_at = S.copy(), k
-            # P_B(U) = U - A^+(A(U) - (s, r)): into U for DR, else as T_{k+1} into S[0]
-            np.subtract(U, op._pinv(residuals[1, :, :m], residuals[1, :, m:]),
-                        out=U if alg == "DR" else S[0])
-            if alg == "DR":  # T_{k+1} = (T_k - P_A(T_k)) + P_B(2 P_A(T_k) - T_k)
-                np.add(np.subtract(S[0], PA, out=S[0]), U, out=S[0])
-            elif alg == "DYK":  # R_{k+1} = W_k - A_{k+1}, W_{k+1} = T_{k+1} + R_{k+1}
-                np.add(S[0], np.subtract(S[1], U, out=U), out=S[1])
-        if leaving:  # the update leaves P_A(T_k) as it was; copied after its temporaries are gone
+        leaving = np.count_nonzero(done)
+        if leaving:  # copied before the update, which for DR overwrites P_A(T_k)
             rows = active[feasible]
             deltas[rows, k + 1:] = delta_sq[feasible, None]  # final delta, carried forward
             for j, P in zip(rows, PA[feasible]):
                 exits[j] = (k, P)
-        if finished:
+        if k == last or leaving == len(done):
             break
-        del PA, U  # views of X, which leaving starts replace
-        if leaving:  # done starts leave the next state and its saved copy
-            X, keep = None, ~done
-            active, S = active[keep], S[:, keep]
-            saved = None if saved is None else saved[:, keep]
+        if box.integer_restricted and k > 0 and k & (k - 1) == 0:
+            saved, saved_at = S.copy(), k
+        if alg == "DR":
+            np.subtract(S0, PA, out=S0)
+        # P_B(U) = U - A^+(A(U) - (s, r)): into U for DR, else as T_{k+1} into S[0]
+        np.subtract(U, op._pinv(y, x, out=K), out=U if alg == "DR" else K)
+        if alg == "DR":  # T_{k+1} = (T_k - P_A(T_k)) + P_B(2 P_A(T_k) - T_k)
+            np.add(S0, U, out=S0)
+        elif alg == "DYK":  # R_{k+1} = W_k - A_{k+1}, W_{k+1} = T_{k+1} + R_{k+1}
+            np.add(S0, np.subtract(S1, U, out=U), out=S1)
+        if leaving:  # done starts leave the next state, its saved copy and the buffers
+            X = boxed = PA = U = Z = sums = delta_row = y = x = S0 = S1 = K = None
+            active, S = active[~done], S[:, ~done]
+            saved = None if saved is None else saved[:, ~done]
     np.sqrt(np.maximum(deltas, 0.0, out=deltas), out=deltas)  # the table held delta_k^2
     return deltas, [
         SolverTrace(

@@ -292,6 +292,14 @@ def test_importing_the_package_loads_no_process_pool():
     assert proc.stdout.strip() == "False"
 
 
+def test_importing_the_package_loads_no_json():
+    # json is loaded only to write the output files
+    probe = "import sys, rowcolproj; print('json' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     m=st.integers(1, 4),
@@ -393,6 +401,30 @@ def test_delta_stats_have_full_length_and_padding(serial_pool, monkeypatch):
         assert mapped.pop() == [[0, 1, 2], [3, 4, 5], [6]]
     # integer MAP runs that do not converge stop at a fixed point: their rows are cycled ones
     assert not all(rec.results["MAP"].converged for rec in records)
+
+
+@pytest.mark.parametrize("differing", [[], [0], [3], [0, 2, 7], [8], [9]])
+def test_delta_stats_of_trailing_identical_columns_are_taken_once(differing):
+    # columns after the last one that differs, bitwise, from the final column repeat its
+    # statistics; -0.0 against a final 0.0 differs, and so does a cycled row's periodic tail
+    rng = np.random.default_rng(len(differing))
+    final = rng.uniform(0.0, 1.0, size=(6, 1))
+    final[0] = 0.0
+    table = np.repeat(final, 10, axis=1)
+    for k in differing:
+        table[:, k] = rng.uniform(0.0, 1.0, size=6)
+    if 3 in differing:
+        table[1:, 3] = final[1:, 0]
+        table[0, 3] = -0.0
+    if 9 in differing:  # every column differs from its neighbour: a period-2 tail
+        table[:, 1::2] = table[:, 9:10]
+    tables = [{key: table.copy() for key in ALGORITHMS}]
+    summary = harness.summarize([], small_spec(), tables, None)
+    for stats in summary["delta_stats"].values():
+        assert list(stats) == ["median", "min", "max"]
+        for stat, expected in (("median", np.median(table, axis=0)), ("min", table.min(axis=0)),
+                               ("max", table.max(axis=0))):
+            assert same_bits(np.array(stats[stat]), expected)
 
 
 def test_run_block_frees_each_algorithms_traces_before_the_next_engine_call(monkeypatch):

@@ -254,6 +254,27 @@ def test_weights_one_ulp_from_unit_take_the_rank_two_expression(m, n, side):
     assert not same_bits(out, u[:, :, None] + v[:, None, :])
 
 
+@pytest.mark.parametrize("mode", OPERATOR_MODES)
+@pytest.mark.parametrize("stack", [(), (3,), (2, 3)])
+def test_out_forms_return_out_with_the_bits_of_the_fresh_forms(mode, stack):
+    # zero, unit and generic weights, on one matrix and on stacks; out holds other values first
+    rng = np.random.default_rng(len(stack) * 10 + OPERATOR_MODES.index(mode))
+    m, n = 4, 5
+    op = random_operator(rng, m, n, mode)
+    T = rng.uniform(-100.0, 100.0, size=stack + (m, n))
+    T[..., 0, 0] = -0.0
+    z = np.full(stack + (m + n,), np.nan)
+    assert op._apply(T, out=z) is z
+    assert same_bits(z, np.concatenate(op._apply(T), axis=-1))
+    # y and x as the engine passes them: strided views of one (..., m + n) buffer
+    y, x = z[..., :m], z[..., m:]
+    K = rng.uniform(-1.0, 1.0, size=stack + (m, n))
+    K.flat[0], K.flat[-1] = -0.0, np.nan
+    assert op._pinv(y, x, out=K) is K
+    assert same_bits(K, op._pinv(y, x))
+    assert same_bits(K, op._pinv(y.copy(), x.copy()))
+
+
 def test_project_range_annihilates_orthogonal_direction():
     rng = np.random.default_rng(12)
     op = random_operator(rng, 3, 4, "generic")

@@ -337,7 +337,9 @@ def test_integer_sums_are_judged_against_the_range_projected_targets():
 
 def test_dr_and_map_keep_no_dykstra_correction():
     # The state is (T,) for DR and MAP and (T, T + R) for Dykstra, so their peak
-    # memory lies at least half a stack of starts below Dykstra's.
+    # memory lies at least half a stack of starts below Dykstra's. Ten iterations
+    # end before any start is feasible: the first feasible matrices that a run
+    # returns, half a stack when half of the starts leave at once, are its output.
     m, n = 32, 64
     rng = np.random.default_rng(74)
     M = rng.integers(0, 10, size=(m, n)).astype(float)
@@ -348,12 +350,34 @@ def test_dr_and_map_keep_no_dykstra_correction():
     for alg in ALGS:
         tracemalloc.start()
         try:
-            run_batch(affine_set, box, starts, SolverConfig(algorithm=alg, max_iterations=20))
+            run_batch(affine_set, box, starts, SolverConfig(algorithm=alg, max_iterations=10))
             _, peaks[alg] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
     assert peaks["DR"] <= peaks["DYK"] - starts.nbytes / 2
     assert peaks["MAP"] <= peaks["DYK"] - starts.nbytes / 2
+
+
+@pytest.mark.parametrize("alg", ALGS)
+def test_an_iteration_keeps_no_full_size_array_but_the_state_and_box_stacks(alg):
+    # A^+ writes into a part of a stack whose value is no longer needed and the residuals
+    # take m + n entries per start, so the peak is the state and box-output stacks (DR
+    # 1 + 2 parts, MAP 1 + 1, Dykstra 2 + 2) and well under half a stack more
+    m, n = 32, 64
+    rng = np.random.default_rng(76)
+    M = rng.integers(0, 10, size=(m, n)).astype(float)
+    affine_set = make_affine_set(unit_operator(m, n), M.sum(axis=1), M.sum(axis=0))
+    box = make_box(M.sum(axis=1), M.sum(axis=0))
+    starts = rng.uniform(-100.0, 100.0, size=(64, m, n))
+    tracemalloc.start()
+    try:
+        _, traces = _solve(affine_set, box, starts, SolverConfig(algorithm=alg, max_iterations=5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not any(trace.converged for trace in traces)  # no start left the stack
+    parts = {"DR": 1 + 2, "MAP": 1 + 1, "DYK": 2 + 2}[alg]
+    assert peak <= (parts + 0.5) * starts.nbytes
 
 
 def test_integer_map_mostly_stalls():

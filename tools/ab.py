@@ -8,25 +8,30 @@ Usage (from anywhere inside the repository):
 The script checks REV out into a temporary git worktree and runs N pairs
 of processes (default 20), one per tree, with that tree's ``src`` first
 on ``PYTHONPATH``; which tree goes first alternates from pair to pair.
-Each process builds four fixed batch kinds with its own tree's
+Each process builds six fixed batch kinds with its own tree's
 ``harness._build_problem`` and ``harness.draw_start`` and runs each
 through that tree's ``solvers._solve`` for DR, MAP and Dykstra in turn:
 
 - 4x5-convex and 4x5-integer: the bundled 4x5 instance, 100 starts;
 - 32x48-integer: feasible 32x48 targets, 100 starts from [0, 20);
 - 256x384-convex: feasible 256x384 targets, 2 starts of at most 50
-  iterations.
+  iterations;
+- 4x5-convex-single and 4x5-integer-single: the first 34 starts of the
+  4x5 batches, each run through ``_solve`` alone as a (1, 4, 5) stack,
+  as perfbench's single solves are; the 34 calls are timed as one.
 
-Each engine call is timed REPEATS times and then again until the calls
-add up to MIN_SECONDS, so a 2 ms call is timed about 100 times; a process
-reports the median of those times, the sha256 of the bytes of the delta
-table and the first feasible iteration of every start. The script
-prints, per kind and algorithm, the change/base ratio of those times
-over the pairs as median [q1, q3], with each tree's median time.
+Each engine call (for a single kind, its 34 calls together) is timed
+REPEATS times and then again until the calls add up to MIN_SECONDS, so a
+2 ms call is timed about 100 times; a process reports the median of
+those times, the sha256 of the bytes of the delta table (for a single
+kind, its 34 rows joined) and the first feasible iteration of every
+start. The script prints, per kind and algorithm, the change/base ratio
+of those times over the pairs as median [q1, q3], with each tree's
+median time.
 
 Exit status: 0 when every process of both trees gave the same delta
 tables and feasible iterations, 1 otherwise. Run nothing else on the
-machine meanwhile; 20 pairs take about 3 minutes on 2 CPUs.
+machine meanwhile; 20 pairs take about 6 minutes on 2 CPUs.
 """
 
 import argparse
@@ -55,6 +60,8 @@ KINDS = {
                       "init_low": 0.0, "init_high": 20.0},
     "256x384-convex": {**sample_targets(256, 384), "case": "convex", "num_runs": 2,
                        "max_iterations": 50},
+    "4x5-convex-single": {"case": "convex", "num_runs": 34},
+    "4x5-integer-single": {"case": "integer", "num_runs": 34},
 }
 
 
@@ -75,13 +82,16 @@ def time_kinds():
         spec = ExperimentSpec.from_config({**load_config(), **config})
         affine_set, box = _build_problem(spec.s, spec.r, spec.case)
         starts = np.stack([draw_start(spec, i) for i in range(spec.num_runs)])
+        stacks = [start[None] for start in starts] if name.endswith("-single") else [starts]
         for alg in ALGORITHMS:
             cfg = spec.solver_config(alg)
             seconds = []
             while len(seconds) < REPEATS or sum(seconds) < MIN_SECONDS:
                 begin = perf_counter()
-                deltas, traces = _solve(affine_set, box, starts, cfg)
+                outcomes = [_solve(affine_set, box, stack, cfg) for stack in stacks]
                 seconds.append(perf_counter() - begin)
+            deltas = np.concatenate([table for table, _ in outcomes])
+            traces = [trace for _, batch in outcomes for trace in batch]
             results[f"{name} {alg}"] = {
                 "seconds": float(np.median(seconds)),
                 "deltas_sha256": hashlib.sha256(deltas.tobytes()).hexdigest(),
@@ -128,7 +138,7 @@ def main(argv=None):
             differing.append(cell)
         base, change = ([run[cell]["seconds"] for run in runs[label]] for label in runs)
         ratio = spread(np.divide(change, base))
-        print(f"{'same   ' if same else 'DIFFERS'} {cell:<18} change/base {ratio['median']:.3f} "
+        print(f"{'same   ' if same else 'DIFFERS'} {cell:<22} change/base {ratio['median']:.3f} "
               f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}]   base {np.median(base) * 1e3:.2f} ms, "
               f"change {np.median(change) * 1e3:.2f} ms")
     print(f"{', '.join(differing)}: delta tables or feasible iterations differ from {args.base}"
