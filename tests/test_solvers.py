@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rowcolproj.affine import AffineMarginalSet, make_affine_set
 from rowcolproj.box import HyperBox, make_box
 from rowcolproj.linalg import frobenius_norm
-from rowcolproj.operator import ScaledMarginalOperator, unit_operator
+from rowcolproj.operator import DEFAULT_BUFSIZE, OUTER_BUFSIZE, ScaledMarginalOperator, unit_operator
 from rowcolproj.solvers import SolverConfig, _solve, run, run_batch
 
 from _support import (
@@ -466,6 +466,33 @@ def test_batch_runs_match_reference_and_single_runs_bit_for_bit(
             reference = reference_run(affine_set, box, T0, cfg).trace
             assert_same_trace(trace, reference)
             assert_same_trace(run(affine_set, box, T0, cfg), reference)
+
+
+@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("mode", ["unit", "generic"])
+def test_a_batch_under_the_small_buffer_matches_single_runs_under_the_default_one(
+        mode, integer, monkeypatch):
+    # 8 starts of 12x128 are 12288 entries, above numpy's default buffer, so the batch forms
+    # A^+ under the small one; one start (1536 entries) keeps the default
+    m, n = 12, 128
+    rng = np.random.default_rng(128 + integer)
+    M = rng.integers(0, 10, size=(m, n)).astype(float)
+    op = random_operator(rng, m, n, mode, integer=integer)
+    affine_set = make_affine_set(op, M @ op.e, M.T @ op.f)
+    box = make_box(M.sum(axis=1), M.sum(axis=0), integer_restricted=integer)
+    starts = rng.uniform(-20.0, 20.0, size=(8, m, n))
+    seen, pinv = set(), ScaledMarginalOperator._pinv
+    monkeypatch.setattr(ScaledMarginalOperator, "_pinv", lambda *args, **kwargs:
+                        seen.add(np.getbufsize()) or pinv(*args, **kwargs))
+    for alg in ALGS:
+        cfg = SolverConfig(algorithm=alg, max_iterations=30)
+        seen.clear()
+        batch = run_batch(affine_set, box, starts, cfg)
+        assert OUTER_BUFSIZE in seen
+        seen.clear()
+        for T0, trace in zip(starts, batch):
+            assert_same_trace(trace, reference_run(affine_set, box, T0, cfg).trace)
+        assert seen == {DEFAULT_BUFSIZE}
 
 
 def test_run_batch_rejects_bad_stacks():

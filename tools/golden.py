@@ -82,9 +82,14 @@ def worktree(rev, parent):
         git("worktree", "remove", "--force", str(path))
 
 
+def sample_matrix(m, n):
+    """default_rng(0).integers(0, 10, (m, n)): a nonnegative integer m x n matrix."""
+    return np.random.default_rng(0).integers(0, 10, (m, n))
+
+
 def sample_targets(m, n):
-    """The row and column sums of default_rng(0).integers(0, 10, (m, n)): feasible targets."""
-    counts = np.random.default_rng(0).integers(0, 10, (m, n))
+    """The row and column sums of sample_matrix(m, n): feasible targets."""
+    counts = sample_matrix(m, n)
     return {"s": counts.sum(axis=1).tolist(), "r": counts.sum(axis=0).tolist()}
 
 
