@@ -76,7 +76,8 @@ def make_box(s, r, integer_restricted=False):
     Targets must be nonnegative; any nonnegative matrix with row sums s
     and column sums r lies inside this box.
     """
-    s, r = as_vector(s, name="s"), as_vector(r, name="r")
+    s = as_vector(s, name="s")
+    r = as_vector(r, name="r")
     if np.any(s < 0.0) or np.any(r < 0.0):
         raise ValueError("targets must be nonnegative to build the box")
     upper = np.minimum.outer(s, r)

@@ -23,8 +23,8 @@ Scaling e, f and the targets by one power of two changes no bit of a
 projection, so such weights can be rescaled.
 
 Broadcasts run 3-5 times slower once numpy's ufunc buffer holds three rows, so
-A^+ forms such outputs of over 8192 entries under OUTER_BUFSIZE if it holds
-fewer than three: the same bits, and a 256 x 384 unit add in 30 us, not 110.
+A^+ forms its outputs under OUTER_BUFSIZE when it holds under three of their rows
+and the caller's buffer three: the same bits, a 256 x 384 unit add in 30 us, not 110.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +34,7 @@ import numpy as np
 
 from .linalg import as_matrix, as_vector, frozen_copy
 
-DEFAULT_BUFSIZE, OUTER_BUFSIZE = 8192, 256  # numpy's default ufunc buffer; A^+'s (see above)
+OUTER_BUFSIZE = 256  # entries of the ufunc buffer A^+ forms its outputs under (see above)
 
 
 class MarginalPair(NamedTuple):
@@ -145,8 +145,7 @@ class ScaledMarginalOperator:
         products (f.y/d) f, (e.x/d) e, u e^T and f v^T, whose factors
         of 1.0 change no bit. ``out``, if given, takes the result.
         """
-        if (y.size * x.shape[-1] > DEFAULT_BUFSIZE  # three rows fit the caller's buffer, not ours
-                and OUTER_BUFSIZE < 3 * x.shape[-1] <= np.getbufsize()):
+        if OUTER_BUFSIZE < 3 * x.shape[-1] <= np.getbufsize():  # 3 rows fit the caller's, not ours
             with np.errstate():  # keeps the caller's error settings, and restores its buffer size
                 np.setbufsize(OUTER_BUFSIZE)
                 return self._pinv(y, x, out)

@@ -21,6 +21,8 @@ DEMO_SOLUTION = np.array(
 DEMO_ROW_SUMS = np.array([32.0, 43.0, 33.0, 23.0])
 DEMO_COL_SUMS = np.array([24.0, 18.0, 37.0, 27.0, 25.0])
 
+NUMPY_BUFSIZE = 8192  # numpy's default ufunc buffer, in entries
+
 OPERATOR_MODES = ("generic", "e_zero", "f_zero", "both_zero", "sparse", "unit")
 
 

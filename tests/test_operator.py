@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from rowcolproj import operator as rcp_operator
 from rowcolproj.affine import make_affine_set
 from rowcolproj.linalg import frobenius_norm
-from rowcolproj.operator import (
-    DEFAULT_BUFSIZE, OUTER_BUFSIZE, MarginalPair, ScaledMarginalOperator, unit_operator,
-)
+from rowcolproj.operator import OUTER_BUFSIZE, MarginalPair, ScaledMarginalOperator, unit_operator
 from rowcolproj.oracle import build_explicit
 
 from _support import (
     DEMO_COL_SUMS,
     DEMO_ROW_SUMS,
     DEMO_SOLUTION,
+    NUMPY_BUFSIZE,
     OPERATOR_MODES,
     explicit_pinv,
     nine_pass_pinv,
@@ -283,17 +282,19 @@ def test_out_forms_return_out_with_the_bits_of_the_fresh_forms(mode, stack):
 
 @pytest.mark.parametrize("mode", OPERATOR_MODES)
 @pytest.mark.parametrize("shape, small_buffer", [
-    ((64, 128), False),      # 8192 entries: numpy's default buffer
-    ((65, 128), True),       # 8320 entries
-    ((2, 32, 128), False),   # 8192 entries, stacked
-    ((2, 33, 128), True),    # 8448 entries, stacked
+    ((4, 5), False),
     ((97, 85), False),       # three rows fit in the small buffer too
     ((96, 86), True),
+    ((1, 128), True),        # 128 entries
+    ((64, 128), True),       # 8192 entries: numpy's default buffer
+    ((65, 128), True),       # 8320 entries
+    ((2, 32, 128), True),    # 8192 entries, stacked
+    ((2, 33, 128), True),    # 8448 entries, stacked
     ((4, 2730), True),
     ((4, 2731), False),      # fewer than three rows fit in the default buffer
     ((3, 31, 384), True),
 ])
-def test_outer_form_above_the_default_buffer_keeps_the_bits_of_the_default_buffer(
+def test_outer_form_under_the_small_buffer_keeps_the_bits_of_the_default_buffer(
         mode, shape, small_buffer, monkeypatch):
     # the buffers _pinv runs under, the caller's error settings kept, and the bits of the
     # same formula at numpy's default buffer: with and without out, -0.0 entries in y and x
@@ -302,8 +303,8 @@ def test_outer_form_above_the_default_buffer_keeps_the_bits_of_the_default_buffe
     op = random_operator(rng, m, n, mode)
     y, x = rng.uniform(-100.0, 100.0, size=(*stack, m)), rng.uniform(-100.0, 100.0, size=(*stack, n))
     y[..., ::3], x[..., 1::4] = -0.0, -0.0
-    with monkeypatch.context() as patch:  # no output is above the threshold
-        patch.setattr(rcp_operator, "DEFAULT_BUFSIZE", math.inf)
+    with monkeypatch.context() as patch:  # no row is long enough for the small buffer
+        patch.setattr(rcp_operator, "OUTER_BUFSIZE", math.inf)
         expected = op._pinv(y, x)
     seen, pinv = [], ScaledMarginalOperator._pinv
     monkeypatch.setattr(ScaledMarginalOperator, "_pinv", lambda *args, **kwargs: seen.append(
@@ -314,12 +315,12 @@ def test_outer_form_above_the_default_buffer_keeps_the_bits_of_the_default_buffe
         assert op._pinv(y, x, out=K) is K and same_bits(K, expected)
         if not stack:
             assert same_bits(op.pinv_apply(MarginalPair(y, x)), expected)
-    # per form, a call at the caller's buffer and, above the threshold, one under the small one
-    buffers = [DEFAULT_BUFSIZE, OUTER_BUFSIZE] if small_buffer else [DEFAULT_BUFSIZE]
+    # per form, a call at the caller's buffer and, for rows of 86 to 2730, one under the small one
+    buffers = [NUMPY_BUFSIZE, OUTER_BUFSIZE] if small_buffer else [NUMPY_BUFSIZE]
     assert seen == [(size, "raise") for size in buffers] * (2 + (not stack))
 
 
-@pytest.mark.parametrize("callers_buffer", [DEFAULT_BUFSIZE, 1024, 65536])
+@pytest.mark.parametrize("callers_buffer", [NUMPY_BUFSIZE, 1024, 65536])
 def test_pinv_and_project_restore_the_callers_buffer_size(callers_buffer):
     # 1024 holds fewer than three 384-entry rows, so _pinv keeps it
     m, n = 256, 384
@@ -333,7 +334,7 @@ def test_pinv_and_project_restore_the_callers_buffer_size(callers_buffer):
         assert np.getbufsize() == callers_buffer
         affine_set.project(T)
         assert np.getbufsize() == callers_buffer
-    assert np.getbufsize() == DEFAULT_BUFSIZE
+    assert np.getbufsize() == NUMPY_BUFSIZE
 
 
 def test_project_range_annihilates_orthogonal_direction():

@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from rowcolproj.affine import AffineMarginalSet, make_affine_set
 from rowcolproj.box import HyperBox, make_box
 from rowcolproj.linalg import frobenius_norm
-from rowcolproj.operator import DEFAULT_BUFSIZE, OUTER_BUFSIZE, ScaledMarginalOperator, unit_operator
+from rowcolproj import operator as rcp_operator
+from rowcolproj.operator import OUTER_BUFSIZE, ScaledMarginalOperator, unit_operator
 from rowcolproj.solvers import SolverConfig, _solve, run, run_batch
 
 from _support import (
     DEMO_COL_SUMS,
     DEMO_ROW_SUMS,
     DEMO_SOLUTION,
+    NUMPY_BUFSIZE,
     OPERATOR_MODES,
     assert_same_trace,
     in_box,
@@ -472,8 +474,8 @@ def test_batch_runs_match_reference_and_single_runs_bit_for_bit(
 @pytest.mark.parametrize("mode", ["unit", "generic"])
 def test_a_batch_under_the_small_buffer_matches_single_runs_under_the_default_one(
         mode, integer, monkeypatch):
-    # 8 starts of 12x128 are 12288 entries, above numpy's default buffer, so the batch forms
-    # A^+ under the small one; one start (1536 entries) keeps the default
+    # rows of 128 entries: the batch forms A^+ under the small buffer, and the reference,
+    # with no row long enough for it, under numpy's default
     m, n = 12, 128
     rng = np.random.default_rng(128 + integer)
     M = rng.integers(0, 10, size=(m, n)).astype(float)
@@ -490,9 +492,11 @@ def test_a_batch_under_the_small_buffer_matches_single_runs_under_the_default_on
         batch = run_batch(affine_set, box, starts, cfg)
         assert OUTER_BUFSIZE in seen
         seen.clear()
-        for T0, trace in zip(starts, batch):
-            assert_same_trace(trace, reference_run(affine_set, box, T0, cfg).trace)
-        assert seen == {DEFAULT_BUFSIZE}
+        with monkeypatch.context() as patch:
+            patch.setattr(rcp_operator, "OUTER_BUFSIZE", math.inf)
+            for T0, trace in zip(starts, batch):
+                assert_same_trace(trace, reference_run(affine_set, box, T0, cfg).trace)
+        assert seen == {NUMPY_BUFSIZE}
 
 
 def test_run_batch_rejects_bad_stacks():

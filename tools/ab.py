@@ -39,7 +39,11 @@ and the first feasible iteration of every start. The script prints, per
 cell, the change/base ratio of those times over the pairs as median
 [q1, q3], with each tree's median time.
 
-Exit status: 0 when every process of both trees gave the same hashes and
+A change of harness.SCHEMA_VERSION announces different delta tables, as
+in tools/golden.py: when the two trees' versions differ, the delta table
+hashes are reported as changed by the schema and not compared, and the
+feasible iterations and the projection hashes still are. Exit status: 0
+when every process of both trees gave the same compared hashes and
 feasible iterations, 1 otherwise. Run nothing else on the machine
 meanwhile; 20 pairs take about 7 minutes on 2 CPUs.
 """
@@ -57,7 +61,7 @@ from time import perf_counter
 import numpy as np
 
 from bench_trajectory import spread
-from golden import sample_matrix, sample_targets, worktree
+from golden import sample_matrix, sample_targets, schema_version, worktree
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = Path(__file__).resolve().parent
@@ -76,6 +80,7 @@ KINDS = {
     "4x5-convex-single": {"case": "convex", "num_runs": 34},
     "4x5-integer-single": {"case": "integer", "num_runs": 34},
 }
+PROJECT = "project-256x384"  # the name of the projection cells
 PROJECTIONS = 8  # single 256x384 projections per project-256x384 cell
 WEIGHT_SEED = 2021  # seeds the weighted kind's weights
 
@@ -142,7 +147,7 @@ def time_kinds():
     for weights, (affine_set, _) in (("unit", _build_problem(spec.s, spec.r, spec.case)),
                                      ("weighted", weighted_problem(spec.m, spec.n))):
         seconds, outputs = timed(lambda: [affine_set.project(T) for T in starts])
-        results[f"project-256x384 {weights}"] = {
+        results[f"{PROJECT} {weights}"] = {
             "seconds": seconds,
             "sha256": hashlib.sha256(np.stack(outputs).tobytes()).hexdigest(),
             "feasible": [],
@@ -174,6 +179,11 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="rowcolproj-ab-") as tmp, \
             worktree(args.base, tmp) as base:
         trees = {"base": base, "change": ROOT}
+        schemas = [schema_version(trees[label]) for label in runs]
+        new_schema = schemas[0] != schemas[1]
+        if new_schema:
+            print(f"schema_version changes from {schemas[0]} to {schemas[1]}: the delta table "
+                  "hashes are changed by the schema and not compared")
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             print(f"pair {pair + 1}/{args.pairs}: {order[0]} first", file=sys.stderr, flush=True)
@@ -181,7 +191,8 @@ def main(argv=None):
                 runs[label].append(run_tree(trees[label]))
     differing = []
     for cell in runs["base"][0]:
-        outcomes = {(run[cell]["sha256"], tuple(run[cell]["feasible"]))
+        compare_hash = not new_schema or cell.startswith(PROJECT)
+        outcomes = {(run[cell]["sha256"] if compare_hash else None, tuple(run[cell]["feasible"]))
                     for label in runs for run in runs[label]}
         same = len(outcomes) == 1
         if not same:
@@ -192,7 +203,7 @@ def main(argv=None):
               f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}]   base {np.median(base) * 1e3:.2f} ms, "
               f"change {np.median(change) * 1e3:.2f} ms")
     print(f"{', '.join(differing)}: hashes or feasible iterations differ from {args.base}"
-          if differing else f"every hash and feasible iteration matches {args.base}")
+          if differing else f"every compared hash and feasible iteration matches {args.base}")
     return 1 if differing else 0
 
 
