@@ -37,14 +37,13 @@ from .solvers import ALGORITHMS, BACKEND, SolverConfig, _check_box, _solve, run 
 
 SCHEMA_VERSION = 4
 
-# Float64 entries per engine call's stack of starts (2 MiB). The engine
-# keeps several stacks of that size alive: its state (T, and T + R for
-# Dykstra), the box projection (A^+'s correction goes into one of these),
-# and for an integer box the rounding's temporaries and a saved state for its
-# repeated-state exit. tracemalloc peaks on 128 starts of 32x64, in stacks:
-# convex 3.8 DR, 2.4 MAP and 4.4 Dykstra; integer 5.2, 4.3 and 8.2. So this
-# bounds a batch's memory whatever num_runs is; results do not depend on the blocking.
-BLOCK_ENTRIES = 2 ** 18
+# Float64 entries per engine call's stack of starts: 2^16, 512 KiB. Each iteration streams
+# a few stacks of that size (Dykstra: its state T and T + R, and the box output), and the
+# 2 MiB L2 cache of the 2-CPU Xeon it was tuned on holds four: at 2^18, two 256x384 starts
+# shared a block and each ran slower than alone. tracemalloc peaks on 32 starts of 32x64, in
+# stacks: convex 3.7 DR, 2.6 MAP, 4.6 Dykstra; integer 5.2, 4.3, 8.2. This bounds the engine's
+# memory only; records and delta tables grow with num_runs. Results do not depend on blocking.
+BLOCK_ENTRIES = 2 ** 16
 
 DISPLAY_NAMES = {"DR": "DR", "MAP": "MAP", "DYK": "Dyk"}
 

@@ -57,7 +57,7 @@ def as_array(a, ndim, shape=(), name="array"):
     want = arr.shape[:ndim - len(shape)] + tuple(shape)
     if arr.shape != want:
         raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

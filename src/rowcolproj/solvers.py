@@ -129,7 +129,8 @@ def _solve(affine_set, box, T, cfg):
     size = T.shape[0]
     deltas = np.empty((size, last + 1))
     exits = [(last, None)] * size       # each start's final iteration and first feasible point
-    active = np.arange(size)            # start index of each matrix in the stack
+    # each matrix's start index, and its delta rows: a basic slice (a cheaper store) until one leaves
+    active, stored = np.arange(size), slice(None)
     # S is a (parts, B, m, n) copy of the state: (T_k,), or Dykstra's (T_k, W_k), where
     # W_0 = T_0 + R_0 with R_0 = 0 turns -0.0 into +0.0. Each update writes the next state into S.
     S = np.stack((T, T + 0.0) if alg == "DYK" else (T,))
@@ -160,7 +161,7 @@ def _solve(affine_set, box, T, cfg):
         np.subtract(op._apply(X, out=sums), targets, out=Z)
         # delta_k^2, and delta_k <= tol exactly when delta_k^2 <= bound
         delta_sq = op._pinv_norm_sq(delta_row)
-        deltas[active, k] = delta_sq
+        deltas[stored, k] = delta_sq
         # an integer start is feasible when its sums are exactly (s_bar, r_bar): then delta_k = 0
         feasible = ~delta_row.any(axis=-1) if box.integer_restricted else delta_sq <= bound
         done = feasible
@@ -194,8 +195,8 @@ def _solve(affine_set, box, T, cfg):
             np.add(S0, np.subtract(S1, U, out=U), out=S1)
         if leaving:  # done starts leave the next state, its saved copy and the buffers
             X = boxed = PA = U = Z = sums = delta_row = y = x = S0 = S1 = K = None
-            active, S = active[~done], S[:, ~done]
-            saved = None if saved is None else saved[:, ~done]
+            active = stored = active[~done]
+            S, saved = S[:, ~done], None if saved is None else saved[:, ~done]
     np.sqrt(np.maximum(deltas, 0.0, out=deltas), out=deltas)  # the table held delta_k^2
     return deltas, [
         SolverTrace(

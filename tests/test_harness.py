@@ -259,11 +259,34 @@ def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(serial_pool, monke
     run_experiment(small_spec(num_runs=2, max_iterations=5), jobs=1000)
     assert started.pop() == 2
     assert mapped.pop() == [[0], [1]]
-    # the entry cap splits a worker's share further
+    # the entry cap splits a worker's share further, to one start per block below m * n
+    default_entries = harness.BLOCK_ENTRIES
     monkeypatch.setattr(harness, "BLOCK_ENTRIES", 2 * spec.m * spec.n)
     run_experiment(spec, jobs=2)
     assert started.pop() == 2
     assert mapped.pop() == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+    monkeypatch.setattr(harness, "BLOCK_ENTRIES", spec.m * spec.n - 1)
+    run_experiment(spec, jobs=2)
+    assert started.pop() == 2
+    assert mapped.pop() == [[run] for run in range(spec.num_runs)]
+    # the default cap gives each 256x384 start (98 304 entries) a block of its own even
+    # in one process; the serial map's blocks are captured, and nothing is solved
+    monkeypatch.setattr(harness, "BLOCK_ENTRIES", default_entries)
+    counts = np.random.default_rng(0).integers(0, 10, (256, 384))
+    large = ExperimentSpec(s=counts.sum(axis=1), r=counts.sum(axis=0), num_runs=2)
+
+    class Captured(Exception):
+        pass
+
+    def capture(fn, blocks):
+        mapped.append([list(block) for block in blocks])
+        raise Captured
+
+    monkeypatch.setattr(harness, "map", capture, raising=False)
+    with pytest.raises(Captured):
+        run_experiment(large, jobs=1)
+    monkeypatch.delattr(harness, "map")
+    assert mapped.pop() == [[0], [1]]
     # targets without a box fail in this process, before a pool starts
     with pytest.raises(ValueError, match="range-projected"):
         run_experiment(ExperimentSpec(s=[0.0, 10.0], r=[0.0, 0.0], num_runs=4), jobs=2)

@@ -15,8 +15,9 @@ committed hash would.
 
 The cases: the default 1000-run convex and integer experiments; two
 300-run integer batches on inconsistent targets; a 40-run 32x48 integer
-batch and a 2-run, 50-iteration 256x384 convex batch, each at --jobs 1
-and 2; an experiment on the targets s = (0, 10), r = (0, 0), whose range
+batch, a 100-run 32x48 convex batch (several blocks of several starts)
+and a 2-run, 50-iteration 256x384 convex batch, each at --jobs 1 and 2;
+an experiment on the targets s = (0, 10), r = (0, 0), whose range
 projection has negative entries (exit status 2, one stderr line, no
 --out-dir); the stdout of 36 single ``solve`` runs from drawn starts and of
 two from a fixed 4x5 start matrix (``--input``, convex and integer);
@@ -102,6 +103,7 @@ def configs():
     yield "fractional", {"s": [33, 43, 33, 23], "r": [24, 18, 37, 27, 25],
                          "case": "integer", "num_runs": 300}
     yield "integer32x48", {**sample_targets(32, 48), "case": "integer", "num_runs": 40}
+    yield "convex32x48", {**sample_targets(32, 48), "case": "convex", "num_runs": 100}
     yield "convex256x384", {**sample_targets(256, 384), "case": "convex", "num_runs": 2,
                             "max_iterations": 50}
     # nonnegative targets whose range projection is not: an input error
@@ -116,7 +118,7 @@ def cases(work):
     for name, config in configs():
         path = work / f"{name}.json"
         path.write_text(json.dumps(config) + "\n")
-        jobs = ("1", "2") if name in ("integer32x48", "convex256x384") else ("1",)
+        jobs = ("1", "2") if name in ("integer32x48", "convex32x48", "convex256x384") else ("1",)
         for j in jobs:
             yield f"experiment {name} --jobs {j}", \
                 ["experiment", "--config", str(path), "--jobs", j], EXPERIMENT_FILES
