@@ -1,57 +1,49 @@
 #!/usr/bin/env python3
-"""A/B engine timing: this tree against a base revision, in alternating process pairs.
+"""A/B timing: this tree against a base revision, in alternating process pairs.
 
 Usage (from anywhere inside the repository):
 
-    python3 tools/ab.py --base REV [--pairs N]
+    python3 tools/ab.py --base REV [--pairs N] [--write PATH]
 
 The script checks REV out into a temporary git worktree and runs N pairs
 of processes (default 20), one per tree, with that tree's ``src`` first
 on ``PYTHONPATH``; which tree goes first alternates from pair to pair.
-Each process builds seven fixed batch kinds with its own tree's
-``harness._build_problem`` (or, for the weighted kind, ``make_affine_set``
-and ``HyperBox``) and ``harness.draw_start``, and runs each through that
-tree's ``solvers._solve`` for DR, MAP and Dykstra in turn:
+Each process times three sets of cells with its own tree's code:
 
-- 4x5-convex and 4x5-integer: the bundled 4x5 instance, 100 starts;
-- 32x48-integer: feasible 32x48 targets, 100 starts from [0, 20);
-- 256x384-convex: feasible 256x384 targets, 2 starts of at most 50
-  iterations;
-- 256x384-weighted: the same starts and cap under weights e and f drawn
-  from U(0.5, 2), with targets X e and X^T f for the integer matrix X
-  whose sums are the 256x384 targets, and the box
-  [0, min(s_bar_i / e_j, r_bar_j / f_i)], which holds every
-  nonnegative matrix with those sums;
-- 4x5-convex-single and 4x5-integer-single: the first 34 starts of the
-  4x5 batches, each run through ``_solve`` alone as a (1, 4, 5) stack,
-  as perfbench's single solves are; the 34 calls are timed as one.
+- engine cells: each batch kind of KINDS through ``solvers._solve``, for
+  DR, MAP and Dykstra in turn; a "-single" kind runs its 34 starts one
+  by one as (1, 4, 5) stacks, as perfbench's single solves do;
+- projection cells: PROJECTIONS single 256x384 projections, under the
+  unit weights and under weighted_problem's;
+- regime cells: ``harness.run_experiment`` end to end on each batch of
+  REGIMES, which perfbench lacks, at each --jobs value of JOBS.
 
-It also times PROJECTIONS single ``AffineMarginalSet.project`` calls on
-256x384 starts as one cell, project-256x384, under the unit weights and
-under the weighted kind's.
+A regime cell is timed once per process, the others REPEATS times and
+then until their calls add up to MIN_SECONDS (the process reports the
+median). Each cell gives a sha256 (of its delta tables, projections or
+runs.csv) and an engine cell each start's first feasible iteration. The
+script prints each cell's change/base time ratio over the pairs as
+median [q1, q3].
 
-Each timed cell (an engine call, the 34 single calls, or the projections)
-is timed REPEATS times and then again until the calls add up to
-MIN_SECONDS, so a 2 ms call is timed about 100 times; a process reports
-the median of those times, a sha256 (of the bytes of the delta table,
-for a single kind of its 34 rows joined, or of the projections' outputs)
-and the first feasible iteration of every start. The script prints, per
-cell, the change/base ratio of those times over the pairs as median
-[q1, q3], with each tree's median time.
+With --write PATH, each pair also runs ``perfbench/run.py --trace 0``
+for SECONDS s on each of WORKLOADS, once per tree in the pair's order,
+with seed FIRST_SEED + the pair's index. PATH receives the environment,
+both trees' runs and the per-pair ratios of every cell and perfbench
+metric, and each tree's perfbench totals (operations attempted and
+failed, runs whose every check passed), as JSON.
 
-A change of harness.SCHEMA_VERSION announces different delta tables, as
-in tools/golden.py: when the two trees' versions differ, the delta table
-hashes are reported as changed by the schema and not compared, and the
-feasible iterations and the projection hashes still are. Exit status: 0
-when every process of both trees gave the same compared hashes and
-feasible iterations, 1 otherwise. Run nothing else on the machine
-meanwhile; 20 pairs take about 7 minutes on 2 CPUs.
+As in tools/golden.py, delta table hashes are not compared across a
+change of harness.SCHEMA_VERSION. Exit status: 0 when every process of
+both trees gave the same compared hashes and feasible iterations, 1
+otherwise. Run nothing else on the machine meanwhile; 20 pairs take
+about 12 minutes on 2 CPUs, and --write adds about 2 minutes per pair.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -60,8 +52,7 @@ from time import perf_counter
 
 import numpy as np
 
-from bench_trajectory import spread
-from golden import sample_matrix, sample_targets, schema_version, worktree
+from golden import git, run_in_tree, sample_matrix, sample_targets, schema_version, worktree
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = Path(__file__).resolve().parent
@@ -69,7 +60,7 @@ REPEATS = 3  # the fewest timed calls per cell in each process
 MIN_SECONDS = 0.2  # the least time those calls add up to
 LARGE = {**sample_targets(256, 384), "case": "convex", "num_runs": 2, "max_iterations": 50}
 # Name and config of each batch kind; a config without "s" uses the bundled 4x5 instance, and
-# "weighted" builds the problem of weighted_problem.
+# "weighted" builds the problem of weighted_problem on the same targets, starts and cap.
 KINDS = {
     "4x5-convex": {"case": "convex", "num_runs": 100},
     "4x5-integer": {"case": "integer", "num_runs": 100},
@@ -80,9 +71,19 @@ KINDS = {
     "4x5-convex-single": {"case": "convex", "num_runs": 34},
     "4x5-integer-single": {"case": "integer", "num_runs": 34},
 }
-PROJECT = "project-256x384"  # the name of the projection cells
 PROJECTIONS = 8  # single 256x384 projections per project-256x384 cell
 WEIGHT_SEED = 2021  # seeds the weighted kind's weights
+# Name and config of each regime cell, timed end to end at each --jobs value in JOBS.
+REGIMES = {
+    "4x5-convex-1000": {"case": "convex", "num_runs": 1000},
+    "32x48-integer-200": {**KINDS["32x48-integer"], "num_runs": 200},
+    "32x48-convex-200": {**sample_targets(32, 48), "case": "convex", "num_runs": 200},
+    "256x384-convex-8x50": {**LARGE, "num_runs": 8},
+}
+JOBS = (1, 2)
+WORKLOADS = ("demo4x5-convex", "demo4x5-integer", "large256x384-convex")  # perfbench's
+SECONDS = 30  # perfbench --seconds
+FIRST_SEED = 31  # perfbench --seed of the first pair
 
 
 def weighted_problem(m, n):
@@ -100,6 +101,12 @@ def weighted_problem(m, n):
     return affine_set, HyperBox(np.zeros_like(upper), upper)
 
 
+def measured(seconds, data, feasible=()):
+    """One cell's result: its seconds, the sha256 of ``data`` and its first feasible iterations."""
+    return {"seconds": seconds, "sha256": hashlib.sha256(data).hexdigest(),
+            "feasible": list(feasible)}
+
+
 def timed(calls):
     """The median seconds of repeated calls() (see REPEATS and MIN_SECONDS), and the
     outputs of the last call."""
@@ -111,15 +118,17 @@ def timed(calls):
     return float(np.median(seconds)), outputs
 
 
-def time_kinds():
-    """Per cell ("kind algorithm", and "project-256x384 unit" and "... weighted"): the median
-    seconds of its timed calls, the sha256 of its delta table or projections and each start's
-    first feasible iteration.
+def time_cells():
+    """Per cell ("kind algorithm", "project-256x384 unit" and "... weighted", and
+    "regime --jobs J"): the median seconds of its timed calls (a regime's one time), the
+    sha256 of its delta table, projections or runs.csv, and each start's first feasible
+    iteration.
 
     Runs in a process whose ``rowcolproj`` is the measured tree's.
     """
     from rowcolproj.cli import load_config
-    from rowcolproj.harness import ExperimentSpec, _build_problem, draw_start
+    from rowcolproj.harness import (ExperimentSpec, _build_problem, draw_start, emit_outputs,
+                                    run_experiment)
     from rowcolproj.solvers import ALGORITHMS, _solve
 
     results = {}
@@ -137,48 +146,103 @@ def time_kinds():
                                                for stack in stacks])
             deltas = np.concatenate([table for table, _ in outcomes])
             traces = [trace for _, batch in outcomes for trace in batch]
-            results[f"{name} {alg}"] = {
-                "seconds": seconds,
-                "sha256": hashlib.sha256(deltas.tobytes()).hexdigest(),
-                "feasible": [trace.first_feasible_iteration for trace in traces],
-            }
+            results[f"{name} {alg}"] = measured(
+                seconds, deltas.tobytes(), [trace.first_feasible_iteration for trace in traces])
     spec = ExperimentSpec.from_config({**load_config(), **LARGE})
     starts = [draw_start(spec, i) for i in range(PROJECTIONS)]
     for weights, (affine_set, _) in (("unit", _build_problem(spec.s, spec.r, spec.case)),
                                      ("weighted", weighted_problem(spec.m, spec.n))):
         seconds, outputs = timed(lambda: [affine_set.project(T) for T in starts])
-        results[f"{PROJECT} {weights}"] = {
-            "seconds": seconds,
-            "sha256": hashlib.sha256(np.stack(outputs).tobytes()).hexdigest(),
-            "feasible": [],
-        }
+        results[f"project-256x384 {weights}"] = measured(seconds, np.stack(outputs).tobytes())
+    with tempfile.TemporaryDirectory(prefix="rowcolproj-ab-") as out_dir:
+        for name, config in REGIMES.items():
+            spec = ExperimentSpec.from_config({**load_config(), **config})
+            for jobs in JOBS:
+                begin = perf_counter()
+                records, summary = run_experiment(spec, jobs=jobs)
+                seconds = perf_counter() - begin
+                emit_outputs(records, summary, out_dir)
+                results[f"{name} --jobs {jobs}"] = measured(
+                    seconds, (Path(out_dir) / "runs.csv").read_bytes())
     return results
 
 
-def run_tree(tree):
-    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
-            "from ab import time_kinds; import rowcolproj; "
-            "print(json.dumps({'results': time_kinds(), 'module': rowcolproj.__file__}))")
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    done = subprocess.run([sys.executable, "-c", code, str(TOOLS)],
-                          env=env, check=True, capture_output=True, text=True)
-    result = json.loads(done.stdout.splitlines()[-1])
-    if not Path(result["module"]).resolve().is_relative_to((tree / "src").resolve()):
-        raise RuntimeError(f"the engine was imported from outside {tree / 'src'}")
-    return result["results"]
+def run_perfbench(tree, workload, seed):
+    """The last stdout line of one ``perfbench/run.py --trace 0`` run in ``tree``, as JSON."""
+    done = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
+                           "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(SECONDS), "--trace", "0"],
+                          cwd=tree, capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"perfbench in {tree} exited with {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def verdict(runs, new_schema):
+    """The cells whose compared hash or feasible iterations differ between any two processes
+    of ``runs`` ({"base": [time_cells() per process], "change": [...]}); across a schema
+    change (``new_schema``), the engine cells' delta table hashes are not compared."""
+    differing = []
+    for cell in runs["base"][0]:
+        compare_hash = not new_schema or cell.split()[0] not in KINDS
+        outcomes = {(run[cell]["sha256"] if compare_hash else None, tuple(run[cell]["feasible"]))
+                    for label in runs for run in runs[label]}
+        if len(outcomes) > 1:
+            differing.append(cell)
+    return differing
+
+
+def paired(base, change):
+    """Each tree's runs, and the per-pair change/base ratios with their median and quartiles."""
+    ratios = np.divide(change, base)
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75]).tolist()
+    return {"base": base, "change": change,
+            "ratio": {"median": median, "q1": q1, "q3": q3, "runs": ratios.tolist()}}
+
+
+def ratio_line(name, times, unit):
+    ratio = times["ratio"]
+    return (f"{name:<36} change/base {ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
+            f"   base {np.median(times['base']):.4g} {unit}, "
+            f"change {np.median(times['change']):.4g} {unit}")
+
+
+def environment():
+    """The machine, the CPUs this process may use, and the Python, numpy and BLAS versions."""
+    try:
+        cpu = next(line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").open()
+                   if line.startswith("model name"))
+    except (OSError, StopIteration):
+        cpu = platform.processor()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "machine": {"cpu_model": cpu, "system": platform.platform(),
+                    "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count()},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "blas_thread_vars": {var: os.environ.get(var) for var in
+                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=20, help="process pairs (default 20)")
+    parser.add_argument("--write", metavar="PATH",
+                        help="also run perfbench in every pair and write the JSON record to PATH")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    runs = {"base": [], "change": []}
+    runs, bench = {"base": [], "change": []}, {"base": [], "change": []}
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); from ab import time_cells; "
+            "print(json.dumps(time_cells()))")
     with tempfile.TemporaryDirectory(prefix="rowcolproj-ab-") as tmp, \
             worktree(args.base, tmp) as base:
         trees = {"base": base, "change": ROOT}
+        commits = {label: git("rev-parse", "HEAD", cwd=trees[label]) for label in runs}
         schemas = [schema_version(trees[label]) for label in runs]
         new_schema = schemas[0] != schemas[1]
         if new_schema:
@@ -188,20 +252,42 @@ def main(argv=None):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             print(f"pair {pair + 1}/{args.pairs}: {order[0]} first", file=sys.stderr, flush=True)
             for label in order:
-                runs[label].append(run_tree(trees[label]))
-    differing = []
+                runs[label].append(json.loads(run_in_tree(trees[label], code, str(TOOLS))))
+            for workload in WORKLOADS if args.write else ():
+                for label in order:
+                    bench[label].append((workload, run_perfbench(trees[label], workload,
+                                                                 FIRST_SEED + pair)))
+    differing = verdict(runs, new_schema)
+    cells = {}
     for cell in runs["base"][0]:
-        compare_hash = not new_schema or cell.startswith(PROJECT)
-        outcomes = {(run[cell]["sha256"] if compare_hash else None, tuple(run[cell]["feasible"]))
-                    for label in runs for run in runs[label]}
-        same = len(outcomes) == 1
-        if not same:
-            differing.append(cell)
-        base, change = ([run[cell]["seconds"] for run in runs[label]] for label in runs)
-        ratio = spread(np.divide(change, base))
-        print(f"{'same   ' if same else 'DIFFERS'} {cell:<24} change/base {ratio['median']:.3f} "
-              f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}]   base {np.median(base) * 1e3:.2f} ms, "
-              f"change {np.median(change) * 1e3:.2f} ms")
+        cells[cell] = paired(*([run[cell]["seconds"] for run in runs[label]] for label in runs))
+        print(f"{'same   ' if cell not in differing else 'DIFFERS'} "
+              f"{ratio_line(cell, cells[cell], 's')}")
+    if args.write:
+        metrics = {}
+        for (workload, base), (_, change) in zip(bench["base"], bench["change"]):
+            for name, metric in base["metrics"].items():
+                entry = metrics.setdefault(f"{workload} {name}", {"unit": metric["unit"],
+                                                                  "base": [], "change": []})
+                entry["base"].append(metric["value"])
+                entry["change"].append(change["metrics"][name]["value"])
+        for name, entry in metrics.items():
+            entry.update(paired(entry["base"], entry["change"]))
+            print(f"perfbench {ratio_line(name, entry, entry['unit'])}")
+        totals = {label: {key: sum(result[key] for _, result in bench[label])
+                          for key in ("attempted", "failed", "correct")} for label in bench}
+        print(f"perfbench operations: {totals}")
+        record = {
+            "base": {"rev": args.base, "commit": commits["base"]},
+            "change": {"commit": commits["change"], "uncommitted_changes": bool(
+                git("status", "--porcelain", "--untracked-files=no"))},
+            **environment(),
+            "settings": {"pairs": args.pairs, "perfbench_seconds": SECONDS,
+                         "perfbench_seeds": [FIRST_SEED + pair for pair in range(args.pairs)]},
+            "cells": cells, "perfbench": metrics, "perfbench_totals": totals,
+        }
+        Path(args.write).write_text(json.dumps(record, indent=2) + "\n")
+        print(f"wrote {args.write}")
     print(f"{', '.join(differing)}: hashes or feasible iterations differ from {args.base}"
           if differing else f"every compared hash and feasible iteration matches {args.base}")
     return 1 if differing else 0

@@ -160,11 +160,25 @@ def schema_free(args, files, output):
                                         if name not in SCHEMA_FILES]
 
 
+def run_in_tree(tree, code, *args):
+    """The last line that ``python -c code args`` prints, run with ``tree``'s src first on
+    PYTHONPATH. Raises RuntimeError, with the child's stderr, when the child exits non-zero
+    or imported rowcolproj from outside ``tree``."""
+    src = tree / "src"
+    code = f"{code}\nimport rowcolproj; print(rowcolproj.__file__)"
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"a process in {tree} exited with {done.returncode}:\n{done.stderr}")
+    *lines, module = done.stdout.splitlines()
+    if not Path(module).resolve().is_relative_to(src.resolve()):
+        raise RuntimeError(f"a process in {tree} imported rowcolproj from {module}, outside {src}")
+    return lines[-1]
+
+
 def schema_version(tree):
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    return subprocess.run(
-        [sys.executable, "-c", "from rowcolproj.harness import SCHEMA_VERSION; print(SCHEMA_VERSION)"],
-        env=env, check=True, capture_output=True, text=True).stdout.strip()
+    return run_in_tree(tree, "from rowcolproj.harness import SCHEMA_VERSION; print(SCHEMA_VERSION)")
 
 
 def main(argv=None):
