@@ -17,9 +17,11 @@ a process pool, and joined in block order, so the output is
 byte-identical whatever the blocking, ``jobs`` or worker scheduling.
 """
 
+import ctypes
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -37,12 +39,12 @@ from .solvers import ALGORITHMS, BACKEND, SolverConfig, _check_box, _solve, run 
 
 SCHEMA_VERSION = 4
 
-# Float64 entries per engine call's stack of starts: 2^16, 512 KiB. Each iteration streams
-# a few stacks of that size (Dykstra: its state T and T + R, and the box output), and the
-# 2 MiB L2 cache of the 2-CPU Xeon it was tuned on holds four: at 2^18, two 256x384 starts
-# shared a block and each ran slower than alone. tracemalloc peaks on 32 starts of 32x64, in
-# stacks: convex 3.7 DR, 2.6 MAP, 4.6 Dykstra; integer 5.2, 4.3, 8.2. This bounds the engine's
-# memory only; records and delta tables grow with num_runs. Results do not depend on blocking.
+# Float64 entries per engine call's stack of starts: 2^16, 512 KiB. An iteration streams a few
+# stacks of that size (Dykstra: T, W and the box output; no step of the convex box or of W's
+# update reads a third), and the 2 MiB L2 cache of the 2-CPU Xeon it was tuned on holds four:
+# at 2^18, two 256x384 starts shared a block and each ran slower than alone. tracemalloc peaks
+# on 32 starts of 32x64, in stacks: convex 3.7 DR, 2.6 MAP, 4.6 Dykstra; integer 5.2, 4.3, 8.2.
+# This bounds engine memory; records and delta tables grow with num_runs. Blocking changes no bit.
 BLOCK_ENTRIES = 2 ** 16
 
 DISPLAY_NAMES = {"DR": "DR", "MAP": "MAP", "DYK": "Dyk"}
@@ -219,6 +221,24 @@ def _worker_count(jobs, num_runs):
     return min(jobs, cpus, num_runs)
 
 
+@contextmanager
+def _one_blas_thread():
+    """One thread for numpy's bundled OpenBLAS, if loaded, inside the block: workers forked there
+    keep it and do not oversubscribe the CPUs (set after a fork, it starts a spinning thread)."""
+    threads, paths = None, (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")
+    with suppress(OSError, AttributeError, StopIteration):  # RTLD_NOLOAD: the copy numpy loaded
+        lib = ctypes.CDLL(str(next(paths)), mode=os.RTLD_NOLOAD)
+        put = lib.scipy_openblas_set_num_threads64_
+        put.argtypes, put.restype = [ctypes.c_int], None
+        threads = lib.scipy_openblas_get_num_threads64_()
+        put(1)
+    try:
+        yield
+    finally:
+        if threads is not None:
+            put(threads)
+
+
 def _run_block(spec, affine_set, box, indices):
     """Solve the runs ``indices`` with one engine call per algorithm; _build_problem checked the problem.
     Returns the records and each algorithm's table of full-length delta rows."""
@@ -260,7 +280,7 @@ def run_experiment(spec, jobs=1):
     else:
         # imported here, so that serial runs do not pay for loading the process pool
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(solve, blocks))
     records = [rec for part, _ in parts for rec in part]
     return records, summarize(records, spec, [tables for _, tables in parts],

@@ -153,6 +153,42 @@ def test_signed_zeros_at_a_bound_do_not_depend_on_the_stack_layout(lower, upper,
         assert same_bits(stacked[k], box.project(T[k]))
 
 
+@pytest.mark.parametrize("integer_restricted", [False, True])
+@pytest.mark.parametrize("shape", [(6, 1, 1), (2, 100, 4, 5), (2, 3, 32, 48), (2, 1, 256, 384)])
+def test_a_zero_lower_bound_clamps_as_the_array_bound_does_bit_for_bit(shape, integer_restricted):
+    # every make_box box clamps at the scalar 0.0; the clamp against its (m, n) array of
+    # +0.0 gives the same bits, signed zeros included, on every stack layout
+    rng = np.random.default_rng(sum(shape))
+    m, n = shape[-2:]
+    s, r = rng.uniform(0.0, 3.0, size=m), rng.uniform(0.0, 3.0, size=n)
+    s[0] = 0.0
+    box = make_box(s, r, integer_restricted=integer_restricted)
+    assert np.ndim(box._floor) == 0 and not np.signbit(box._floor)
+    T = rng.choice([-0.0, 0.0, -1e-300, 1e-300, -5e-324, 5e-324, -0.3, 0.3, -0.5, 1.7, 3.5],
+                   size=shape)
+    rounded = round_half_away(T) if integer_restricted else T
+    expected = np.minimum(np.maximum(rounded, box.lower), box.upper)
+    assert same_bits(box._project(T), expected)
+    assert same_bits(box._project(T, out=np.empty_like(T)), expected)
+    for k in np.ndindex(shape[:-2]):
+        assert same_bits(box.project(T[k]), expected[k])
+
+
+@pytest.mark.parametrize("integer_restricted", [False, True])
+@pytest.mark.parametrize("entry", [-0.0, -0.5, 0.25, -1.0])
+def test_a_signed_or_nonzero_lower_entry_keeps_the_array_bound(entry, integer_restricted):
+    # an integer box stores ceil(-0.5) = -0.0, which a scalar +0.0 floor would lose
+    lower = np.zeros((4, 5))
+    lower[1, 2] = entry
+    box = HyperBox(lower=lower, upper=np.full((4, 5), 2.0), integer_restricted=integer_restricted)
+    assert box._floor is box.lower
+    T = np.random.default_rng(5).choice([-0.0, 0.0, -0.3, 0.3, -0.5, 0.5], size=(2, 3, 4, 5))
+    rounded = round_half_away(T) if integer_restricted else T
+    assert same_bits(box._project(T), np.minimum(np.maximum(rounded, box.lower), box.upper))
+    if box.lower[1, 2] == 0.0:  # a stored -0.0 is what the clamp of +0.0 returns there
+        assert np.signbit(box.lower[1, 2]) and np.signbit(box._project(np.zeros((4, 5)))[1, 2])
+
+
 def test_integer_projection_is_the_two_clip_projection_bit_for_bit():
     # negative, fractional, integer and signed-zero bounds; inputs at and between
     # the bounds, at ties and at +-0.0; stacks long enough for numpy's SIMD loops

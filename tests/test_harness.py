@@ -1,10 +1,13 @@
 import concurrent.futures
+import ctypes
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +237,37 @@ def serial_pool(monkeypatch):
 def allow_cpus(monkeypatch, count):
     """Let this process use ``count`` CPUs, as its affinity mask would."""
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def bundled_openblas_threads():
+    """The thread count of numpy's bundled OpenBLAS in this process, or None without it."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        try:
+            return ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD).scipy_openblas_get_num_threads64_()
+        except (OSError, AttributeError):
+            pass
+    return None
+
+
+RUN_BLOCK = harness._run_block
+
+
+def run_block_in_one_blas_thread(*args):
+    """harness._run_block, once the worker it runs in reports one OpenBLAS thread."""
+    assert bundled_openblas_threads() == 1
+    return RUN_BLOCK(*args)
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    threads = bundled_openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    allow_cpus(monkeypatch, 2)
+    spec = small_spec(num_runs=4, max_iterations=20)
+    _, summary = run_experiment(spec, jobs=1)
+    monkeypatch.setattr(harness, "_run_block", run_block_in_one_blas_thread)
+    assert run_experiment(spec, jobs=2)[1] == summary
+    assert bundled_openblas_threads() == threads  # this process keeps its own setting
 
 
 def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(serial_pool, monkeypatch):

@@ -650,3 +650,30 @@ def test_demo_integer_runs_take_the_cycle_exit_and_keep_their_traces(monkeypatch
         assert projected[0] < full_length
         for trace, reference in zip(batch, references):
             assert_same_trace(trace, reference)
+
+
+@pytest.mark.parametrize("floor", ["zero", "signed-zero"])
+@pytest.mark.parametrize("alg", ALGS)
+def test_256x384_runs_match_the_reference_bit_for_bit(alg, floor):
+    # make_box's +0.0 lower bound clamps at a scalar 0.0, so the reference runs a copy of
+    # the box that clamps at the (m, n) array; a -0.0 entry keeps the array in both
+    m, n = 256, 384
+    rng = np.random.default_rng(384)
+    M = rng.integers(0, 10, size=(m, n)).astype(float)
+    affine_set = make_affine_set(unit_operator(m, n), M.sum(axis=1), M.sum(axis=0))
+    box = make_box(M.sum(axis=1), M.sum(axis=0))
+    if floor == "signed-zero":
+        lower = np.zeros((m, n))
+        lower[3, 5] = -0.0
+        box = HyperBox(lower=lower, upper=box.upper)
+    array_box = HyperBox(lower=box.lower, upper=box.upper)
+    object.__setattr__(array_box, "_floor", array_box.lower)
+    assert (np.ndim(box._floor) == 0) == (floor == "zero")
+    starts = rng.uniform(-5.0, 15.0, size=(2, m, n))
+    starts[:, ::7, ::5] = rng.choice([-0.0, 0.0], size=starts[:, ::7, ::5].shape)
+    cfg = SolverConfig(algorithm=alg, max_iterations=12)
+    batch = run_batch(affine_set, box, starts, cfg)
+    for T0, trace in zip(starts, batch):
+        single = run(affine_set, box, T0, cfg)
+        assert_same_trace(single, reference_run(affine_set, array_box, T0, cfg).trace)
+        assert_same_trace(trace, single)

@@ -11,8 +11,10 @@ on ``PYTHONPATH``; which tree goes first alternates from pair to pair.
 Each process times three sets of cells with its own tree's code:
 
 - engine cells: each batch kind of KINDS through ``solvers._solve``, for
-  DR, MAP and Dykstra in turn; a "-single" kind runs its 34 starts one
-  by one as (1, 4, 5) stacks, as perfbench's single solves do;
+  DR, MAP and Dykstra in turn; a kind marked "single" runs its starts one
+  by one as (1, m, n) stacks: the 4x5 "-single" kinds as perfbench's
+  single solves do, the 256x384 kinds as ``harness.run_experiment``
+  blocks them (one start fills a block of harness.BLOCK_ENTRIES);
 - projection cells: PROJECTIONS single 256x384 projections, under the
   unit weights and under weighted_problem's;
 - regime cells: ``harness.run_experiment`` end to end on each batch of
@@ -59,17 +61,18 @@ TOOLS = Path(__file__).resolve().parent
 REPEATS = 3  # the fewest timed calls per cell in each process
 MIN_SECONDS = 0.2  # the least time those calls add up to
 LARGE = {**sample_targets(256, 384), "case": "convex", "num_runs": 2, "max_iterations": 50}
-# Name and config of each batch kind; a config without "s" uses the bundled 4x5 instance, and
-# "weighted" builds the problem of weighted_problem on the same targets, starts and cap.
+# Name and config of each batch kind; a config without "s" uses the bundled 4x5 instance,
+# "weighted" builds the problem of weighted_problem on the same targets, starts and cap, and
+# "single" runs one start per engine call.
 KINDS = {
     "4x5-convex": {"case": "convex", "num_runs": 100},
     "4x5-integer": {"case": "integer", "num_runs": 100},
     "32x48-integer": {**sample_targets(32, 48), "case": "integer", "num_runs": 100,
                       "init_low": 0.0, "init_high": 20.0},
-    "256x384-convex": LARGE,
-    "256x384-weighted": {**LARGE, "weighted": True},
-    "4x5-convex-single": {"case": "convex", "num_runs": 34},
-    "4x5-integer-single": {"case": "integer", "num_runs": 34},
+    "256x384-convex": {**LARGE, "single": True},
+    "256x384-weighted": {**LARGE, "weighted": True, "single": True},
+    "4x5-convex-single": {"case": "convex", "num_runs": 34, "single": True},
+    "4x5-integer-single": {"case": "integer", "num_runs": 34, "single": True},
 }
 PROJECTIONS = 8  # single 256x384 projections per project-256x384 cell
 WEIGHT_SEED = 2021  # seeds the weighted kind's weights
@@ -134,12 +137,12 @@ def time_cells():
     results = {}
     for name, config in KINDS.items():
         config = dict(config)
-        weighted = config.pop("weighted", False)
+        weighted, single = config.pop("weighted", False), config.pop("single", False)
         spec = ExperimentSpec.from_config({**load_config(), **config})
         affine_set, box = (weighted_problem(spec.m, spec.n) if weighted
                            else _build_problem(spec.s, spec.r, spec.case))
         starts = np.stack([draw_start(spec, i) for i in range(spec.num_runs)])
-        stacks = [start[None] for start in starts] if name.endswith("-single") else [starts]
+        stacks = [start[None] for start in starts] if single else [starts]
         for alg in ALGORITHMS:
             cfg = spec.solver_config(alg)
             seconds, outcomes = timed(lambda: [_solve(affine_set, box, stack, cfg)
