@@ -3,11 +3,10 @@
 The standard construction from nonnegative targets (s, r) bounds entry
 (i, j) by [0, min(s_i, r_j)]: any nonnegative matrix with row sums s and
 column sums r satisfies it. Its lower bound, all +0.0, clamps as the
-scalar 0.0, same bits (256x384 on a 2-CPU Xeon: 132-138 -> 87-112 us a
-call). An integer-restricted box stores ceil(lower) and floor(upper),
-which bound the same integer matrices, and projects by rounding to the
-nearest integer (ties away from zero, exact at every magnitude) once and
-clamping to those endpoints once.
+scalar 0.0: same bits, no array read. An integer-restricted box stores
+ceil(lower) and floor(upper), which bound the same integer matrices, and
+projects by rounding to the nearest integer (ties away from zero, exact
+at every magnitude) once and clamping to those endpoints once.
 """
 
 from dataclasses import dataclass

@@ -33,8 +33,7 @@ from .affine import make_affine_set
 from .box import ROUNDING_TIE_RULE, make_box
 from .linalg import as_integer, as_vector, check_finite, frozen_copy, spectral_norm
 from .operator import unit_operator
-# ``run`` is not called here; the name stays so that tools which wrap
-# ``harness.run`` at run time (perfbench/tracing.py) still find it.
+# ``run`` is not called here; perfbench/tracing.py wraps ``harness.run`` by name
 from .solvers import ALGORITHMS, BACKEND, SolverConfig, _check_box, _solve, run  # noqa: F401
 
 SCHEMA_VERSION = 4
@@ -42,9 +41,8 @@ SCHEMA_VERSION = 4
 # Float64 entries per engine call's stack of starts: 2^16, 512 KiB. An iteration streams a few
 # stacks of that size (Dykstra: T, W and the box output; no step of the convex box or of W's
 # update reads a third), and the 2 MiB L2 cache of the 2-CPU Xeon it was tuned on holds four:
-# at 2^18, two 256x384 starts shared a block and each ran slower than alone. tracemalloc peaks
-# on 32 starts of 32x64, in stacks: convex 3.7 DR, 2.6 MAP, 4.6 Dykstra; integer 5.2, 4.3, 8.2.
-# This bounds engine memory; records and delta tables grow with num_runs. Blocking changes no bit.
+# at 2^18, two 256x384 starts shared a block and each ran slower than alone. This bounds engine
+# memory; records and delta tables grow with num_runs. Blocking changes no bit.
 BLOCK_ENTRIES = 2 ** 16
 
 DISPLAY_NAMES = {"DR": "DR", "MAP": "MAP", "DYK": "Dyk"}
@@ -278,9 +276,12 @@ def run_experiment(spec, jobs=1):
     if workers == 1:
         parts = list(map(solve, blocks))
     else:
-        # imported here, so that serial runs do not pay for loading the process pool
+        # imported here, so that serial runs do not load the pool; forked on Linux (not by Python
+        # 3.14's forkserver), workers inherit the one BLAS thread and skip an unguarded __main__
         from concurrent.futures import ProcessPoolExecutor
-        with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
+        from multiprocessing import get_context
+        fork = get_context("fork") if sys.platform == "linux" else None
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
             parts = list(pool.map(solve, blocks))
     records = [rec for part, _ in parts for rec in part]
     return records, summarize(records, spec, [tables for _, tables in parts],

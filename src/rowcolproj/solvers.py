@@ -50,14 +50,13 @@ state as a (parts, B, m, n) stack, (T_k,) or (T_k, W_k), and the box output
 likewise, 1 part for MAP and 2 for DR and Dykstra; the repeated-state check
 compares the whole state stack. A writes its sums into a residual buffer,
 A^+ its output into a dead part of a stack and Dykstra R_{k+1}, then
-W_{k+1}, into W_k (256x384 Dykstra on a 2-CPU Xeon: 95-102 -> 78-95 ms with
-the box's scalar floor); buffers are remade only when starts leave. Each
-step is elementwise or acts on each matrix of the stack alone, so a start's
-delta_k sequence and first feasible point are bit for bit the same whether
-it runs alone (:func:`run`) or inside any batch (:func:`run_batch`). A start
-leaves the stack at its first feasible or repeated state. The engine also
-returns each start's full-length delta row: a feasible row's tail is written
-when the row leaves the stack, and a cycled row's tail at its cycle check.
+W_{k+1}, into W_k; buffers are remade only when starts leave. Each step is
+elementwise or acts on each matrix of the stack alone, so a start's delta_k
+sequence and first feasible point are bit for bit the same whether it runs
+alone (:func:`run`) or inside any batch (:func:`run_batch`). A start leaves
+the stack at its first feasible or repeated state. The engine also returns
+each start's full-length delta row: a feasible row's tail is written when
+the row leaves the stack, and a cycled row's tail at its cycle check.
 """
 
 import math

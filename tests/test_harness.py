@@ -2,6 +2,7 @@ import concurrent.futures
 import ctypes
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -216,7 +217,7 @@ def serial_pool(monkeypatch):
     mapped = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             started.append(max_workers)
 
         def __enter__(self):
@@ -268,6 +269,25 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     monkeypatch.setattr(harness, "_run_block", run_block_in_one_blas_thread)
     assert run_experiment(spec, jobs=2)[1] == summary
     assert bundled_openblas_threads() == threads  # this process keeps its own setting
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool is forked on Linux only")
+def test_pool_workers_are_forked_under_a_forkserver_default(monkeypatch):
+    """With forkserver as the default start method (Python 3.14's on Linux), the workers are
+    still forked: they give the serial summary and run one OpenBLAS thread."""
+    if bundled_openblas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    allow_cpus(monkeypatch, 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # what a fresh forkserver worker would run
+    spec = small_spec(num_runs=4, max_iterations=20)
+    _, summary = run_experiment(spec, jobs=1)
+    monkeypatch.setattr(harness, "_run_block", run_block_in_one_blas_thread)
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("forkserver", force=True)
+    try:
+        assert run_experiment(spec, jobs=2)[1] == summary
+    finally:
+        multiprocessing.set_start_method(default, force=True)
 
 
 def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(serial_pool, monkeypatch):

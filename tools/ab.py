@@ -23,16 +23,17 @@ Each process times three sets of cells with its own tree's code:
 A regime cell is timed once per process, the others REPEATS times and
 then until their calls add up to MIN_SECONDS (the process reports the
 median). Each cell gives a sha256 (of its delta tables, projections or
-runs.csv) and an engine cell each start's first feasible iteration. The
-script prints each cell's change/base time ratio over the pairs as
-median [q1, q3].
+runs.csv), an engine cell also each start's first feasible iteration.
+The script prints each cell's change/base time ratio as median [q1, q3].
 
 With --write PATH, each pair also runs ``perfbench/run.py --trace 0``
-for SECONDS s on each of WORKLOADS, once per tree in the pair's order,
-with seed FIRST_SEED + the pair's index. PATH receives the environment,
-both trees' runs and the per-pair ratios of every cell and perfbench
-metric, and each tree's perfbench totals (operations attempted and
-failed, runs whose every check passed), as JSON.
+(SECONDS s, seed FIRST_SEED + the pair's index) on each of WORKLOADS,
+once per tree in the pair's order, and keeps the record that run writes
+in its tree's ``.perfbench_out/records/``. PATH receives, as JSON, both
+trees' commits, cell runs and whole perfbench records, pair by pair; the
+per-pair change/base ratios of every cell and of every perfbench metric,
+raw time and probe median; each tree's perfbench operations attempted
+and failed; and what the records lack of the environment.
 
 As in tools/golden.py, delta table hashes are not compared across a
 change of harness.SCHEMA_VERSION. Exit status: 0 when every process of
@@ -87,6 +88,7 @@ JOBS = (1, 2)
 WORKLOADS = ("demo4x5-convex", "demo4x5-integer", "large256x384-convex")  # perfbench's
 SECONDS = 30  # perfbench --seconds
 FIRST_SEED = 31  # perfbench --seed of the first pair
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def weighted_problem(m, n):
@@ -125,10 +127,7 @@ def time_cells():
     """Per cell ("kind algorithm", "project-256x384 unit" and "... weighted", and
     "regime --jobs J"): the median seconds of its timed calls (a regime's one time), the
     sha256 of its delta table, projections or runs.csv, and each start's first feasible
-    iteration.
-
-    Runs in a process whose ``rowcolproj`` is the measured tree's.
-    """
+    iteration. Runs in a process whose ``rowcolproj`` is the measured tree's."""
     from rowcolproj.cli import load_config
     from rowcolproj.harness import (ExperimentSpec, _build_problem, draw_start, emit_outputs,
                                     run_experiment)
@@ -171,14 +170,40 @@ def time_cells():
 
 
 def run_perfbench(tree, workload, seed):
-    """The last stdout line of one ``perfbench/run.py --trace 0`` run in ``tree``, as JSON."""
-    done = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
-                           "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(SECONDS), "--trace", "0"],
+    """The record one ``perfbench/run.py --trace 0`` run in ``tree`` writes, with the operations
+    attempted and failed that its last stdout line gives and the record lacks."""
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+                           str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"perfbench in {tree} exited with {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.splitlines()[-1])
+    totals = json.loads(done.stdout.splitlines()[-1])
+    record = tree / ".perfbench_out" / "records" / f"{workload}-seed{seed}-trace0.json"
+    return {**json.loads(record.read_text()),
+            "attempted": totals["attempted"], "failed": totals["failed"]}
+
+
+def figures(record):
+    """Name: (value, unit) of a perfbench record's metrics, raw times (its ``extra``'s
+    ``*_raw``, in their metric's unit) and speed probe median."""
+    metrics, extra = record["metrics"], record["extra"]
+    found = {name: (metric["value"], metric["unit"]) for name, metric in metrics.items()}
+    found.update({name: (value, metrics[name[:-4]]["unit"]) for name, value in extra.items()
+                  if name.endswith("_raw")})
+    return {**found, "probe_us_p50": (extra["probe_us_p50"], "us")}
+
+
+def perfbench_ratios(base, change):
+    """Per "workload figure": its unit and ``paired`` of its values in the two trees' lists
+    of perfbench records, which pair by position."""
+    values = {}
+    for old, new in zip(base, change):
+        new_figures = figures(new)
+        for name, (value, unit) in figures(old).items():
+            entry = values.setdefault(f"{old['workload']} {name}", (unit, [], []))
+            entry[1].append(value)
+            entry[2].append(new_figures[name][0])
+    return {name: {"unit": unit, **paired(*trees)} for name, (unit, *trees) in values.items()}
 
 
 def verdict(runs, new_schema):
@@ -205,29 +230,9 @@ def paired(base, change):
 
 def ratio_line(name, times, unit):
     ratio = times["ratio"]
-    return (f"{name:<36} change/base {ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
+    return (f"{name:<38} change/base {ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
             f"   base {np.median(times['base']):.4g} {unit}, "
             f"change {np.median(times['change']):.4g} {unit}")
-
-
-def environment():
-    """The machine, the CPUs this process may use, and the Python, numpy and BLAS versions."""
-    try:
-        cpu = next(line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").open()
-                   if line.startswith("model name"))
-    except (OSError, StopIteration):
-        cpu = platform.processor()
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "machine": {"cpu_model": cpu, "system": platform.platform(),
-                    "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count()},
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": f"{blas['name']} {blas['version']}",
-        "blas_thread_vars": {var: os.environ.get(var) for var in
-                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-    }
 
 
 def main(argv=None):
@@ -258,8 +263,7 @@ def main(argv=None):
                 runs[label].append(json.loads(run_in_tree(trees[label], code, str(TOOLS))))
             for workload in WORKLOADS if args.write else ():
                 for label in order:
-                    bench[label].append((workload, run_perfbench(trees[label], workload,
-                                                                 FIRST_SEED + pair)))
+                    bench[label].append(run_perfbench(trees[label], workload, FIRST_SEED + pair))
     differing = verdict(runs, new_schema)
     cells = {}
     for cell in runs["base"][0]:
@@ -267,27 +271,22 @@ def main(argv=None):
         print(f"{'same   ' if cell not in differing else 'DIFFERS'} "
               f"{ratio_line(cell, cells[cell], 's')}")
     if args.write:
-        metrics = {}
-        for (workload, base), (_, change) in zip(bench["base"], bench["change"]):
-            for name, metric in base["metrics"].items():
-                entry = metrics.setdefault(f"{workload} {name}", {"unit": metric["unit"],
-                                                                  "base": [], "change": []})
-                entry["base"].append(metric["value"])
-                entry["change"].append(change["metrics"][name]["value"])
-        for name, entry in metrics.items():
-            entry.update(paired(entry["base"], entry["change"]))
+        perfbench = perfbench_ratios(bench["base"], bench["change"])
+        for name, entry in perfbench.items():
             print(f"perfbench {ratio_line(name, entry, entry['unit'])}")
-        totals = {label: {key: sum(result[key] for _, result in bench[label])
-                          for key in ("attempted", "failed", "correct")} for label in bench}
+        totals = {label: {key: sum(record[key] for record in bench[label])
+                          for key in ("attempted", "failed")} for label in bench}
         print(f"perfbench operations: {totals}")
+        # what the records' "machine" lacks, of the process that timed the cells
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         record = {
             "base": {"rev": args.base, "commit": commits["base"]},
             "change": {"commit": commits["change"], "uncommitted_changes": bool(
                 git("status", "--porcelain", "--untracked-files=no"))},
-            **environment(),
-            "settings": {"pairs": args.pairs, "perfbench_seconds": SECONDS,
-                         "perfbench_seeds": [FIRST_SEED + pair for pair in range(args.pairs)]},
-            "cells": cells, "perfbench": metrics, "perfbench_totals": totals,
+            "environment": {"cpus": cpus, "system": platform.platform(), "blas_thread_vars": {
+                var: os.environ.get(var) for var in BLAS_THREAD_VARS}},
+            "pairs": args.pairs, "cells": cells, "perfbench": perfbench,
+            "perfbench_totals": totals, "perfbench_records": bench,
         }
         Path(args.write).write_text(json.dumps(record, indent=2) + "\n")
         print(f"wrote {args.write}")
