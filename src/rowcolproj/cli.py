@@ -47,10 +47,7 @@ def read_matrix(path):
 
 
 def format_matrix(T):
-    m, n = T.shape
-    lines = [f"{m} {n}"]
-    lines += [" ".join(_fmt(v) for v in row) for row in T]
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{T.shape[0]} {T.shape[1]}", *(" ".join(map(_fmt, row)) for row in T)]) + "\n"
 
 
 def _parse_vector(text, name):

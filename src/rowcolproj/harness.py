@@ -23,7 +23,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional
 
@@ -294,24 +294,12 @@ def _count_labels(records, attr):
 
 def dedup_solutions(records):
     """Exact-equality census of integer solutions, per algorithm and overall."""
-    per_algorithm = {}
-    all_keys = set()
-    total_found = 0
-    for key in ALGORITHMS:
-        matrices = [rec.results[key].solution for rec in records
-                    if rec.results[key].solution is not None]
-        unique = {mat.tobytes() for mat in matrices}
-        per_algorithm[DISPLAY_NAMES[key]] = {
-            "found": len(matrices),
-            "unique": len(unique),
-        }
-        total_found += len(matrices)
-        all_keys |= unique
-    return {
-        "per_algorithm": per_algorithm,
-        "total_found": total_found,
-        "total_unique": len(all_keys),
-    }
+    found = {DISPLAY_NAMES[key]: [rec.results[key].solution.tobytes() for rec in records
+                                  if rec.results[key].solution is not None] for key in ALGORITHMS}
+    return {"per_algorithm": {name: {"found": len(keys), "unique": len(set(keys))}
+                              for name, keys in found.items()},
+            "total_found": sum(map(len, found.values())),
+            "total_unique": len(set().union(*found.values()))}
 
 
 def integer_feasible(s_bar, r_bar):
@@ -383,58 +371,10 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _solution_cell(solution):
-    if solution is None:
-        return ""
-    return " ".join(map(str, solution.ravel().tolist()))
-
-
-def emit_outputs(records, summary, out_dir):
-    """Write runs.csv, summary.json, deltas.csv, and schema.json under out_dir.
-
-    ``out_dir`` is a path or a string. I/O errors propagate with the
-    offending path in the exception.
-    """
+@cache
+def _schema_json():
+    """schema.json's text, formatted once per process: its dict is constant."""
     import json  # here, so that importing the package does not load it
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header = ["run_index"]
-    for key in ALGORITHMS:
-        low = DISPLAY_NAMES[key].lower()
-        header += [f"{low}_converged", f"{low}_iterations", f"{low}_distance"]
-    header += ["feasibility_order", "distance_order"]
-    header += [f"{DISPLAY_NAMES[key].lower()}_solution" for key in ALGORITHMS]
-
-    lines = [",".join(header)]
-    for rec in records:
-        cells = [str(rec.run_index)]
-        for key in ALGORITHMS:
-            res = rec.results[key]
-            cells.append("true" if res.converged else "false")
-            cells.append("" if res.iterations is None else str(res.iterations))
-            cells.append("" if res.distance is None else _fmt(res.distance))
-        cells.append(rec.feasibility_order)
-        cells.append(rec.distance_order)
-        for key in ALGORITHMS:
-            cells.append(_solution_cell(rec.results[key].solution))
-        lines.append(",".join(cells))
-    (out_dir / RUNS_CSV).write_text("\n".join(lines) + "\n")
-
-    delta_lines = ["iteration,algorithm,median,min,max"]
-    stats = summary["delta_stats"]
-    length = len(next(iter(stats.values()))["median"])
-    for k in range(length):
-        for key in ALGORITHMS:
-            name = DISPLAY_NAMES[key]
-            s = stats[name]
-            delta_lines.append(
-                f"{k},{name},{_fmt(s['median'][k])},{_fmt(s['min'][k])},{_fmt(s['max'][k])}"
-            )
-    (out_dir / DELTAS_CSV).write_text("\n".join(delta_lines) + "\n")
-
-    (out_dir / SUMMARY_JSON).write_text(json.dumps(summary, indent=2) + "\n")
-
     schema = {
         "schema_version": SCHEMA_VERSION,
         "files": {
@@ -467,5 +407,65 @@ def emit_outputs(records, summary, out_dir):
         },
         "floating_point_format": "CSV floats use 17 significant digits; JSON floats are shortest round-trip representations",
     }
-    (out_dir / SCHEMA_JSON).write_text(json.dumps(schema, indent=2) + "\n")
+    return json.dumps(schema, indent=2) + "\n"
+
+
+def _float_texts(values):
+    """Each float of ``values`` as ``_fmt`` and as json.encoder write it, in two lists. Each
+    distinct float is formatted once, keyed by its bits (by value, -0.0 would take 0.0's text)."""
+    bits, where = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
+    distinct, where = bits.view(np.float64).tolist(), where.tolist()
+    special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.encoder's, else repr
+    return [list(map(texts.__getitem__, where))
+            for texts in (list(map(_fmt, distinct)), [special.get(t, t) for t in map(repr, distinct)])]
+
+
+def emit_outputs(records, summary, out_dir):
+    """Write runs.csv, summary.json, deltas.csv, and schema.json under ``out_dir``, a path or a
+    string; the summary's delta_stats lists hold floats. I/O errors name the offending path."""
+    import json, re  # here, so that importing the package does not load them
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    names = [DISPLAY_NAMES[key] for key in ALGORITHMS]
+    header = ["run_index", *(f"{name.lower()}_{column}" for name in names
+                             for column in ("converged", "iterations", "distance")),
+              "feasibility_order", "distance_order", *(f"{name.lower()}_solution" for name in names)]
+    lines = [",".join(header)]
+    for rec in records:
+        results = [rec.results[key] for key in ALGORITHMS]
+        cells = [str(rec.run_index)]
+        for res in results:
+            cells += ["true" if res.converged else "false", "" if res.iterations is None else str(res.iterations),
+                      "" if res.distance is None else _fmt(res.distance)]
+        cells += [rec.feasibility_order, rec.distance_order]
+        cells += ["" if res.solution is None else " ".join(map(str, res.solution.ravel().tolist()))
+                  for res in results]
+        lines.append(",".join(cells))
+    (out_dir / RUNS_CSV).write_text("\n".join(lines) + "\n")
+
+    stats = summary["delta_stats"]
+    places = [(name, stat) for name in names for stat in ("median", "min", "max")]
+    lists = [stats[name][stat] for name, stat in places]
+    ends = np.cumsum([0, *map(len, lists)]).tolist()
+    csv, texts = ([every[lo:hi] for lo, hi in zip(ends, ends[1:])]
+                  for every in _float_texts([x for values in lists for x in values]))
+    rows = [(name, *csv[3 * i:3 * i + 3]) for i, name in enumerate(names)]
+    delta_lines = ["iteration,algorithm,median,min,max"] + [
+        f"{k},{name},{median[k]},{low[k]},{high[k]}"
+        for k in range(len(next(iter(stats.values()))["median"])) for name, median, low, high in rows]
+    (out_dir / DELTAS_CSV).write_text("\n".join(delta_lines) + "\n")
+
+    # json.dumps with an indent runs the pure-Python encoder, so the nine delta lists, most of
+    # the file, are dumped as marks and replaced by their joined texts at the encoder's indent
+    shell, bodies = {name: dict(values) for name, values in stats.items()}, {}
+    for i, ((name, stat), values) in enumerate(zip(places, texts)):
+        shell[name][stat] = mark = f"\0{i}"
+        bodies[json.dumps(mark)] = "[\n        " + ",\n        ".join(values) + "\n      ]" if values else "[]"
+    text = json.dumps({**summary, "delta_stats": shell}, indent=2)
+    text = (re.sub("|".join(map(re.escape, bodies)), lambda found: bodies[found[0]], text)
+            if all(text.count(mark) == 1 for mark in bodies)  # else another string holds a mark
+            else json.dumps(summary, indent=2))
+    (out_dir / SUMMARY_JSON).write_text(text + "\n")
+    (out_dir / SCHEMA_JSON).write_text(_schema_json())
     return [out_dir / RUNS_CSV, out_dir / SUMMARY_JSON, out_dir / DELTAS_CSV, out_dir / SCHEMA_JSON]

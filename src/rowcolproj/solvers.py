@@ -230,7 +230,9 @@ def _check_box(affine_set, box):
 
 def run(affine_set: AffineMarginalSet, box: HyperBox, T0, cfg: SolverConfig):
     """Run cfg.algorithm from T0; see the module docstring for the updates."""
-    return run_batch(affine_set, box, as_matrix(T0, shape=affine_set.shape, name="T0")[None], cfg)[0]
+    T0 = as_matrix(T0, shape=affine_set.shape, name="T0")
+    _check_box(affine_set, box)
+    return _solve(affine_set, box, T0[None], cfg)[1][0]
 
 
 def run_batch(affine_set: AffineMarginalSet, box: HyperBox, starts, cfg: SolverConfig):

@@ -558,6 +558,92 @@ def test_emitted_outputs_byte_identical_for_same_spec(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def expected_outputs(records, summary):
+    """runs.csv, deltas.csv and summary.json as per-cell f"{x:.17g}" and json.dumps(summary,
+    indent=2) write them."""
+    runs = ["run_index,dr_converged,dr_iterations,dr_distance,map_converged,map_iterations,"
+            "map_distance,dyk_converged,dyk_iterations,dyk_distance,feasibility_order,"
+            "distance_order,dr_solution,map_solution,dyk_solution"]
+    for rec in records:
+        cells = [str(rec.run_index)]
+        for key in ALGORITHMS:
+            res = rec.results[key]
+            cells += ["true" if res.converged else "false",
+                      "" if res.iterations is None else str(res.iterations),
+                      "" if res.distance is None else f"{res.distance:.17g}"]
+        cells += [rec.feasibility_order, rec.distance_order]
+        for key in ALGORITHMS:
+            solution = rec.results[key].solution
+            cells.append("" if solution is None else " ".join(str(v) for v in solution.ravel().tolist()))
+        runs.append(",".join(cells))
+    stats = summary["delta_stats"]
+    deltas = ["iteration,algorithm,median,min,max"]
+    for k in range(len(next(iter(stats.values()))["median"])):
+        for name in ("DR", "MAP", "Dyk"):
+            deltas.append(f"{k},{name},{stats[name]['median'][k]:.17g},{stats[name]['min'][k]:.17g},"
+                          f"{stats[name]['max'][k]:.17g}")
+    return {"runs.csv": "\n".join(runs) + "\n", "deltas.csv": "\n".join(deltas) + "\n",
+            "summary.json": json.dumps(summary, indent=2) + "\n"}
+
+
+def assert_expected_outputs(records, summary, out_dir):
+    emit_outputs(records, summary, out_dir)
+    for name, text in expected_outputs(records, summary).items():
+        assert (out_dir / name).read_text() == text, name
+    # schema.json is the indented dump of its own dict, the same in every directory
+    schema = (out_dir / "schema.json").read_text()
+    assert schema == json.dumps(json.loads(schema), indent=2) + "\n"
+    emit_outputs(records, summary, out_dir / "again")
+    assert (out_dir / "again" / "schema.json").read_text() == schema
+
+
+@pytest.mark.parametrize("max_iterations", [1, 60])
+@pytest.mark.parametrize("case", ["convex", "integer"])
+def test_emitted_files_are_the_per_cell_and_json_dumps_texts(case, max_iterations, tmp_path):
+    records, summary = run_experiment(small_spec(case=case, num_runs=12,
+                                                 max_iterations=max_iterations))
+    assert_expected_outputs(records, summary, tmp_path)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 1e16, 1e-05,
+                  0.1 + 0.2]
+
+
+def special_summary():
+    """A small run's summary whose delta lists hold SPECIAL_FLOATS, +0.0 and -0.0 side by side;
+    DR's median is [0.0], so deltas.csv has one iteration and a JSON list has one entry."""
+    records, summary = run_experiment(small_spec(num_runs=2, max_iterations=3))
+    for i, name in enumerate(("DR", "MAP", "Dyk")):
+        for j, stat in enumerate(("median", "min", "max")):
+            shift = 3 * i + j
+            summary["delta_stats"][name][stat] = SPECIAL_FLOATS[shift:] + SPECIAL_FLOATS[:shift]
+    summary["delta_stats"]["DR"]["median"] = [0.0]
+    return records, summary
+
+
+def test_emitted_files_keep_the_texts_of_special_floats(tmp_path):
+    records, summary = special_summary()
+    assert_expected_outputs(records, summary, tmp_path)
+    deltas = (tmp_path / "deltas.csv").read_text().splitlines()
+    assert deltas[1:] == ["0,DR,0,-0,inf", "0,MAP,-inf,nan,nan",
+                          "0,Dyk,4.9406564584124654e-324,10000000000000000,1.0000000000000001e-05"]
+    text = (tmp_path / "summary.json").read_text()
+    for word in ("-0.0", "Infinity", "-Infinity", "NaN", "5e-324", "1e+16", "1e-05",
+                 "0.30000000000000004"):
+        assert f"        {word},\n" in text or f"        {word}\n" in text
+
+
+def test_emitted_summary_is_the_json_dump_when_a_string_holds_a_placeholder(tmp_path):
+    records, summary = special_summary()
+    # the text json gives each of emit_outputs' placeholders, and a near miss
+    summary["conventions"]["odd"] = "\x000"
+    summary["feasibility_order_counts"]["\x008"] = 1
+    assert_expected_outputs(records, summary, tmp_path / "a")
+    summary["conventions"]["odd"] = "\x00"
+    del summary["feasibility_order_counts"]["\x008"]
+    assert_expected_outputs(records, summary, tmp_path / "b")
+
+
 def test_summary_spec_echo_rebuilds_the_experiment(tmp_path):
     # from_config ignores the echo's m and n, so summary.json's "spec" is a config
     spec = small_spec(case="integer", num_runs=12, init_low=-20.0, init_high=30.0, seed=11,

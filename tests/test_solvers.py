@@ -499,6 +499,27 @@ def test_a_batch_under_the_small_buffer_matches_single_runs_under_the_default_on
         assert seen == {NUMPY_BUFSIZE}
 
 
+def test_run_validates_its_start_once(monkeypatch):
+    # one as_array call (through as_matrix), one finiteness pass, and the box check, then the engine
+    from rowcolproj import linalg, solvers
+
+    affine_set, box = demo_problem()
+    calls, as_array = [], linalg.as_array
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return as_array(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "as_array", counted)
+    monkeypatch.setattr(solvers, "as_array", counted)
+    T0 = np.arange(20.0).reshape(4, 5)
+    trace = run(affine_set, box, T0, SolverConfig(algorithm="DR"))
+    assert len(calls) == 1 and calls[0] is T0
+    assert_same_trace(trace, run_batch(affine_set, box, T0[None], SolverConfig(algorithm="DR"))[0])
+    with pytest.raises(ValueError, match="box shape"):
+        run(affine_set, make_box(np.ones(4), np.ones(4)), T0, SolverConfig(algorithm="DR"))
+
+
 def test_run_batch_rejects_bad_stacks():
     affine_set, box = demo_problem()
     cfg = SolverConfig(algorithm="DR")

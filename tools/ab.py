@@ -17,8 +17,9 @@ Each process times three sets of cells with its own tree's code:
   blocks them (one start fills a block of harness.BLOCK_ENTRIES);
 - projection cells: PROJECTIONS single 256x384 projections, under the
   unit weights and under weighted_problem's;
-- regime cells: ``harness.run_experiment`` end to end on each batch of
-  REGIMES, which perfbench lacks, at each --jobs value of JOBS.
+- regime cells: ``harness.run_experiment`` and ``emit_outputs`` end to
+  end, as perfbench times a batch, on each batch of REGIMES, which
+  perfbench lacks, at each --jobs value of JOBS.
 
 A regime cell is timed once per process, the others REPEATS times and
 then until their calls add up to MIN_SECONDS (the process reports the
@@ -161,9 +162,8 @@ def time_cells():
             spec = ExperimentSpec.from_config({**load_config(), **config})
             for jobs in JOBS:
                 begin = perf_counter()
-                records, summary = run_experiment(spec, jobs=jobs)
+                emit_outputs(*run_experiment(spec, jobs=jobs), out_dir)
                 seconds = perf_counter() - begin
-                emit_outputs(records, summary, out_dir)
                 results[f"{name} --jobs {jobs}"] = measured(
                     seconds, (Path(out_dir) / "runs.csv").read_bytes())
     return results
