@@ -115,14 +115,11 @@ def cmd_project(args):
 def cmd_solve(args):
     """Run 0 of the same experiment, or one run from --input, through an experiment row's code."""
     spec = _spec_from_args(args, num_runs=1)
-    affine_set, box = _build_problem(spec.s, spec.r, spec.case)
-    if args.input is not None:
-        T0 = read_matrix(args.input)
-        if T0.shape != affine_set.shape:
-            raise ValueError(f"the start matrix is {T0.shape[0]}x{T0.shape[1]} "
-                             f"but the targets imply {spec.m}x{spec.n}")
-    else:
-        T0 = draw_start(spec, 0)
+    affine_set, box = _build_problem(spec)
+    T0 = draw_start(spec, 0) if args.input is None else read_matrix(args.input)
+    if T0.shape != affine_set.shape:
+        raise ValueError(f"the start matrix is {T0.shape[0]}x{T0.shape[1]} "
+                         f"but the targets imply {spec.m}x{spec.n}")
     _, (trace,) = _solve(affine_set, box, T0[None], spec.solver_config(args.alg))
     (result,) = _algorithm_results(spec, T0[None], [trace])
     for k, delta in enumerate(result.deltas):

@@ -169,21 +169,21 @@ def _order_label(entries, tie_tol):
     return "".join(parts)
 
 
-def _build_problem(s, r, case):
-    """Affine set for targets (s, r) and the box built from their range projection.
+def _build_problem(spec):
+    """Affine set for the spec's targets (s, r), and its case's box from their range projection.
 
     The box [0, min(s_bar_i, r_bar_j)] needs nonnegative range-projected
     targets (s_bar, r_bar); nonnegative but inconsistent targets can
     still project to negative ones, and the error names them.
     """
-    affine_set = make_affine_set(unit_operator(len(s), len(r)), s, r)
+    affine_set = make_affine_set(unit_operator(spec.m, spec.n), spec.s, spec.r)
     s_bar, r_bar = affine_set.projected_target
     if np.any(s_bar < 0.0) or np.any(r_bar < 0.0):
         raise ValueError(
             "the range-projected targets have negative entries, but the box needs "
             f"nonnegative ones: s_bar = ({', '.join(map(_fmt, s_bar))}), "
             f"r_bar = ({', '.join(map(_fmt, r_bar))})")
-    box = make_box(s_bar, r_bar, integer_restricted=(case == "integer"))
+    box = make_box(s_bar, r_bar, integer_restricted=(spec.case == "integer"))
     _check_box(affine_set, box)  # before a worker starts
     return affine_set, box
 
@@ -268,7 +268,7 @@ def run_experiment(spec, jobs=1):
     ``jobs`` worker processes, and never more than the CPUs this process may use.
     """
     workers = _worker_count(jobs, spec.num_runs)
-    affine_set, box = _build_problem(spec.s, spec.r, spec.case)
+    affine_set, box = _build_problem(spec)
     runs = range(spec.num_runs)
     size = min(max(1, BLOCK_ENTRIES // (spec.m * spec.n)), -(-len(runs) // workers))
     blocks = [runs[lo:lo + size] for lo in range(0, len(runs), size)]

@@ -461,7 +461,7 @@ def test_delta_stats_have_full_length_and_padding(serial_pool, monkeypatch):
     monkeypatch.setattr(harness, "BLOCK_ENTRIES", 3 * 4 * 5)
     for case in ("convex", "integer"):
         spec = small_spec(case=case, num_runs=7, max_iterations=60)
-        affine_set, box = harness._build_problem(spec.s, spec.r, case)
+        affine_set, box = harness._build_problem(spec)
         expected = {}
         for key in ALGORITHMS:
             rows = [reference_run(affine_set, box, draw_start(spec, i), spec.solver_config(key))
@@ -507,7 +507,7 @@ def test_delta_stats_of_trailing_identical_columns_are_taken_once(differing):
 def test_run_block_frees_each_algorithms_traces_before_the_next_engine_call(monkeypatch):
     # a trace list kept through the next engine call keeps its found matrices alive
     spec = small_spec(num_runs=12)
-    affine_set, box = harness._build_problem(spec.s, spec.r, spec.case)
+    affine_set, box = harness._build_problem(spec)
     found, solve = [], harness._solve
 
     def watched(*args):

@@ -8,24 +8,26 @@ Usage (from anywhere inside the repository):
 The script checks REV out into a temporary git worktree and runs N pairs
 of processes (default 20), one per tree, with that tree's ``src`` first
 on ``PYTHONPATH``; which tree goes first alternates from pair to pair.
-Each process times three sets of cells with its own tree's code:
+Each process times three sets of cells with its own tree's public names:
 
-- engine cells: each batch kind of KINDS through ``solvers._solve``, for
-  DR, MAP and Dykstra in turn; a kind marked "single" runs its starts one
-  by one as (1, m, n) stacks: the 4x5 "-single" kinds as perfbench's
-  single solves do, the 256x384 kinds as ``harness.run_experiment``
-  blocks them (one start fills a block of harness.BLOCK_ENTRIES);
+- engine cells: each batch kind of KINDS through ``run_batch`` on the
+  problem that ``problem`` builds, for DR, MAP and Dykstra in turn; a kind
+  marked "single" runs its starts one by one as (1, m, n) stacks: the 4x5
+  "-single" kinds as perfbench's single solves do, the 256x384 kinds as
+  ``harness.run_experiment`` blocks them (one start per block);
 - projection cells: PROJECTIONS single 256x384 projections, under the
-  unit weights and under weighted_problem's;
+  unit weights and under the weighted problem's;
 - regime cells: ``harness.run_experiment`` and ``emit_outputs`` end to
   end, as perfbench times a batch, on each batch of REGIMES, which
   perfbench lacks, at each --jobs value of JOBS.
 
 A regime cell is timed once per process, the others REPEATS times and
 then until their calls add up to MIN_SECONDS (the process reports the
-median). Each cell gives a sha256 (of its delta tables, projections or
-runs.csv), an engine cell also each start's first feasible iteration.
-The script prints each cell's change/base time ratio as median [q1, q3].
+median). Each cell gives a sha256 (of its traces' delta rows, padded with
+their final delta to the engine table's max_iterations + 1; of its
+projections; or of runs.csv), an engine cell also each start's first
+feasible iteration. The script prints each cell's change/base time ratio
+as median [q1, q3].
 
 With --write PATH, each pair also runs ``perfbench/run.py --trace 0``
 (SECONDS s, seed FIRST_SEED + the pair's index) on each of WORKLOADS,
@@ -36,7 +38,7 @@ per-pair change/base ratios of every cell and of every perfbench metric,
 raw time and probe median; each tree's perfbench operations attempted
 and failed; and what the records lack of the environment.
 
-As in tools/golden.py, delta table hashes are not compared across a
+As in tools/golden.py, delta row hashes are not compared across a
 change of harness.SCHEMA_VERSION. Exit status: 0 when every process of
 both trees gave the same compared hashes and feasible iterations, 1
 otherwise. Run nothing else on the machine meanwhile; 20 pairs take
@@ -64,7 +66,7 @@ REPEATS = 3  # the fewest timed calls per cell in each process
 MIN_SECONDS = 0.2  # the least time those calls add up to
 LARGE = {**sample_targets(256, 384), "case": "convex", "num_runs": 2, "max_iterations": 50}
 # Name and config of each batch kind; a config without "s" uses the bundled 4x5 instance,
-# "weighted" builds the problem of weighted_problem on the same targets, starts and cap, and
+# "weighted" builds the weighted problem (see problem) with the same starts and cap, and
 # "single" runs one start per engine call.
 KINDS = {
     "4x5-convex": {"case": "convex", "num_runs": 100},
@@ -81,6 +83,7 @@ WEIGHT_SEED = 2021  # seeds the weighted kind's weights
 # Name and config of each regime cell, timed end to end at each --jobs value in JOBS.
 REGIMES = {
     "4x5-convex-1000": {"case": "convex", "num_runs": 1000},
+    "4x5-integer-1000": {"case": "integer", "num_runs": 1000},
     "32x48-integer-200": {**KINDS["32x48-integer"], "num_runs": 200},
     "32x48-convex-200": {**sample_targets(32, 48), "case": "convex", "num_runs": 200},
     "256x384-convex-8x50": {**LARGE, "num_runs": 8},
@@ -92,19 +95,19 @@ FIRST_SEED = 31  # perfbench --seed of the first pair
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def weighted_problem(m, n):
-    """Weights e and f from U(0.5, 2), the affine set of the targets X e and X^T f for
-    X = sample_matrix(m, n), and the box [0, min(s_bar_i / e_j, r_bar_j / f_i)]: a
-    nonnegative matrix with those sums has X_ij e_j <= s_bar_i and X_ij f_i <= r_bar_j."""
+def problem(spec, weighted=False):
+    """The affine set and box of ``spec`` as run_experiment builds them, or ``weighted``: e, f
+    from U(0.5, 2) and targets X e, X^T f of X = sample_matrix(m, n). Either box,
+    [0, min(s_bar_i / e_j, r_bar_j / f_i)], holds every nonnegative X with those sums."""
     from rowcolproj import HyperBox, ScaledMarginalOperator, make_affine_set
 
-    rng = np.random.default_rng(WEIGHT_SEED)
-    e, f = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m)
-    X = sample_matrix(m, n)
-    affine_set = make_affine_set(ScaledMarginalOperator(e, f), X @ e, X.T @ f)
+    rng, X = np.random.default_rng(WEIGHT_SEED), sample_matrix(spec.m, spec.n)
+    e, f = (rng.uniform(0.5, 2.0, size) if weighted else np.ones(size) for size in (spec.n, spec.m))
+    s, r = (X @ e, X.T @ f) if weighted else (spec.s, spec.r)
+    affine_set = make_affine_set(ScaledMarginalOperator(e, f), s, r)
     s_bar, r_bar = affine_set.projected_target
     upper = np.minimum(s_bar[:, None] / e, r_bar / f[:, None])
-    return affine_set, HyperBox(np.zeros_like(upper), upper)
+    return affine_set, HyperBox(np.zeros_like(upper), upper, spec.case == "integer")
 
 
 def measured(seconds, data, feasible=()):
@@ -127,34 +130,32 @@ def timed(calls):
 def time_cells():
     """Per cell ("kind algorithm", "project-256x384 unit" and "... weighted", and
     "regime --jobs J"): the median seconds of its timed calls (a regime's one time), the
-    sha256 of its delta table, projections or runs.csv, and each start's first feasible
+    sha256 of its trace delta rows, projections or runs.csv, and each start's first feasible
     iteration. Runs in a process whose ``rowcolproj`` is the measured tree's."""
+    from rowcolproj import run_batch
     from rowcolproj.cli import load_config
-    from rowcolproj.harness import (ExperimentSpec, _build_problem, draw_start, emit_outputs,
-                                    run_experiment)
-    from rowcolproj.solvers import ALGORITHMS, _solve
+    from rowcolproj.harness import ExperimentSpec, draw_start, emit_outputs, run_experiment
 
     results = {}
     for name, config in KINDS.items():
         config = dict(config)
         weighted, single = config.pop("weighted", False), config.pop("single", False)
         spec = ExperimentSpec.from_config({**load_config(), **config})
-        affine_set, box = (weighted_problem(spec.m, spec.n) if weighted
-                           else _build_problem(spec.s, spec.r, spec.case))
+        affine_set, box = problem(spec, weighted)
         starts = np.stack([draw_start(spec, i) for i in range(spec.num_runs)])
         stacks = [start[None] for start in starts] if single else [starts]
-        for alg in ALGORITHMS:
+        for alg in ("DR", "MAP", "DYK"):
             cfg = spec.solver_config(alg)
-            seconds, outcomes = timed(lambda: [_solve(affine_set, box, stack, cfg)
-                                               for stack in stacks])
-            deltas = np.concatenate([table for table, _ in outcomes])
-            traces = [trace for _, batch in outcomes for trace in batch]
-            results[f"{name} {alg}"] = measured(
-                seconds, deltas.tobytes(), [trace.first_feasible_iteration for trace in traces])
+            seconds, traces = timed(lambda: [trace for stack in stacks
+                                             for trace in run_batch(affine_set, box, stack, cfg)])
+            rows = [np.pad(trace.deltas, (0, cfg.max_iterations + 1 - len(trace.deltas)), "edge")
+                    for trace in traces]
+            feasible = [trace.first_feasible_iteration for trace in traces]
+            results[f"{name} {alg}"] = measured(seconds, np.concatenate(rows).tobytes(), feasible)
     spec = ExperimentSpec.from_config({**load_config(), **LARGE})
     starts = [draw_start(spec, i) for i in range(PROJECTIONS)]
-    for weights, (affine_set, _) in (("unit", _build_problem(spec.s, spec.r, spec.case)),
-                                     ("weighted", weighted_problem(spec.m, spec.n))):
+    for weights in ("unit", "weighted"):
+        affine_set, _ = problem(spec, weights == "weighted")
         seconds, outputs = timed(lambda: [affine_set.project(T) for T in starts])
         results[f"project-256x384 {weights}"] = measured(seconds, np.stack(outputs).tobytes())
     with tempfile.TemporaryDirectory(prefix="rowcolproj-ab-") as out_dir:
@@ -209,7 +210,7 @@ def perfbench_ratios(base, change):
 def verdict(runs, new_schema):
     """The cells whose compared hash or feasible iterations differ between any two processes
     of ``runs`` ({"base": [time_cells() per process], "change": [...]}); across a schema
-    change (``new_schema``), the engine cells' delta table hashes are not compared."""
+    change (``new_schema``), the engine cells' delta row hashes are not compared."""
     differing = []
     for cell in runs["base"][0]:
         compare_hash = not new_schema or cell.split()[0] not in KINDS
@@ -254,7 +255,7 @@ def main(argv=None):
         schemas = [schema_version(trees[label]) for label in runs]
         new_schema = schemas[0] != schemas[1]
         if new_schema:
-            print(f"schema_version changes from {schemas[0]} to {schemas[1]}: the delta table "
+            print(f"schema_version changes from {schemas[0]} to {schemas[1]}: the delta row "
                   "hashes are changed by the schema and not compared")
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
