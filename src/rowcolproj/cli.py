@@ -147,7 +147,6 @@ def cmd_experiment(args):
                 path.rmdir()
         raise
     paths = emit_outputs(records, summary, args.out_dir)
-    print(f"backend: {summary['backend']}")
     for name, count in summary["convergence_counts"].items():
         print(f"{name} converged: {count}/{spec.num_runs}")
     if "solutions" in summary:

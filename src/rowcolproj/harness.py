@@ -4,7 +4,7 @@ Each run draws one start matrix with entries uniform on the half-open
 interval [init_low, init_high) and executes DR, MAP, and Dykstra from
 it. Runs are classified by the order in which the algorithms reach
 feasibility (iteration count) and by how close their first feasible
-points are to the start (spectral norm, with a tie tolerance); labels
+points are to the start (spectral norm, ties within DISTANCE_TIE_TOL); labels
 look like ``DR<MAP=Dyk``, omit non-converged algorithms, and degrade to
 ``None`` when nothing converges. Integer-case runs also collect the
 found matrices for exact deduplication.
@@ -34,9 +34,10 @@ from .box import ROUNDING_TIE_RULE, make_box
 from .linalg import as_integer, as_vector, check_finite, frozen_copy, spectral_norm
 from .operator import unit_operator
 # ``run`` is not called here; perfbench/tracing.py wraps ``harness.run`` by name
-from .solvers import ALGORITHMS, BACKEND, SolverConfig, _check_box, _solve, run  # noqa: F401
+from .solvers import ALGORITHMS, SolverConfig, _check_box, _solve, run  # noqa: F401
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
+DISTANCE_TIE_TOL = 1e-15  # distance_order joins converged distances at most this far apart
 
 # Float64 entries per engine call's stack of starts: 2^16, 512 KiB. An iteration streams a few
 # stacks of that size (Dykstra: T, W and the box output; no step of the convex box or of W's
@@ -66,7 +67,6 @@ class ExperimentSpec:
     seed: int = 1
     max_iterations: int = 250
     feasibility_tol: float = 1e-9
-    distance_tie_tol: float = 1e-15
 
     def __post_init__(self):
         object.__setattr__(self, "s", frozen_copy(as_vector(self.s, name="s")))
@@ -79,7 +79,6 @@ class ExperimentSpec:
             object.__setattr__(self, name, as_integer(getattr(self, name), name=name))
         for name in ("init_low", "init_high"):
             check_finite(getattr(self, name), name=name)
-        check_finite(self.distance_tie_tol, name="distance_tie_tol", nonnegative=True)
         if self.num_runs < 1:
             raise ValueError("num_runs must be >= 1")
         if self.num_runs > sys.maxsize:  # len(range(num_runs)) must fit in a C ssize_t
@@ -254,7 +253,7 @@ def _run_block(spec, affine_set, box, indices):
             run_index=run_index, results=run_results,
             feasibility_order=_order_label([(name, res.iterations) for name, res in converged], 0),
             distance_order=_order_label([(name, res.distance) for name, res in converged],
-                                        spec.distance_tie_tol)))
+                                        DISTANCE_TIE_TOL)))
     return records, tables
 
 
@@ -313,10 +312,10 @@ def integer_feasible(s_bar, r_bar):
 
 
 def summarize(records, spec, tables, projected_target):
-    """The summary.json dict of ``records``; ``tables`` holds, per block in run order, each
-    algorithm's full-length delta table from the engine, and their join gives delta_stats.
-    ``projected_target`` is (s_bar, r_bar); the integer case reports whether integer
-    matrices in the box meet them, a condition on the margins alone (integer_feasible)."""
+    """The summary dict of ``records``; ``tables`` holds, per block in run order, each
+    algorithm's full-length delta table from the engine, and their join gives delta_stats (for
+    deltas.csv). ``projected_target`` is (s_bar, r_bar); the integer case reports whether
+    integer matrices in the box meet them, a condition on the margins alone (integer_feasible)."""
     delta_stats = {}
     for key in ALGORITHMS:
         table = np.concatenate([block[key] for block in tables])
@@ -340,13 +339,13 @@ def summarize(records, spec, tables, projected_target):
     summary = {
         "schema_version": SCHEMA_VERSION,
         "spec": echo,
-        "backend": BACKEND,
         "conventions": {
             "rounding_tie_rule": ROUNDING_TIE_RULE,
             "delta_definition": "frobenius norm of A^+(A(P_box(T_k)) - (s_bar, r_bar)), which is "
                                 "P_box(T_k) minus P_affine(P_box(T_k))",
             "dykstra_delta_point": "P_box(T_k), same criterion as DR and MAP",
-            "integer_feasibility": "delta within tolerance plus exact integer row/column sums",
+            "integer_feasibility": "the row/column sums of P_box(T_k) equal (s_bar, r_bar) "
+                                   "exactly, so delta_k is 0",
             "integer_feasible": "integer case: whether an integer matrix in the box has the sums "
                                 "(s_bar, r_bar), by the northwest-corner rule of the transportation "
                                 "problem (Dantzig 1963); fractional sums admit none",
@@ -383,11 +382,13 @@ def _schema_json():
                 "columns": {
                     "run_index": "0-based run number",
                     "<alg>_converged": "true/false, feasibility reached within max_iterations",
-                    "<alg>_iterations": "first iteration k with delta_k within tolerance (empty if none); "
+                    "<alg>_iterations": "first iteration k with delta_k within tolerance, in the integer case with "
+                                        "the sums of P_box(T_k) exactly (s_bar, r_bar) (empty if none); "
                                         "delta_k = ||A^+(A(P_box(T_k)) - (s_bar, r_bar))||_F",
                     "<alg>_distance": "largest singular value (LAPACK SVD) of start minus first feasible point, 17 significant digits",
                     "feasibility_order": "converged algorithms ordered by iterations; '=' joins exact ties; 'None' if no algorithm converged",
-                    "distance_order": "converged algorithms ordered by distance; '=' joins values within distance_tie_tol",
+                    "distance_order": "converged algorithms ordered by distance; '=' joins values "
+                                      f"that differ by at most {DISTANCE_TIE_TOL:g}",
                     "<alg>_solution": "integer case only: row-major integer entries of the found matrix, space-separated",
                 },
             },
@@ -400,30 +401,23 @@ def _schema_json():
                 },
             },
             SUMMARY_JSON: {
-                "description": "order-label counts, per-iteration delta statistics, integer "
-                               "feasibility of (s_bar, r_bar) and solution census (integer case), "
-                               "config echo and conventions",
+                "description": "convergence and order-label counts, integer feasibility of "
+                               "(s_bar, r_bar) and solution census (integer case), config echo "
+                               "and conventions",
             },
         },
         "floating_point_format": "CSV floats use 17 significant digits; JSON floats are shortest round-trip representations",
+        "blas_kernel": "numpy's OpenBLAS picks its kernels by CPU; the runs.csv distances and "
+                       "the deltas.csv statistics may change in their last bits with the kernel, "
+                       "every other runs.csv cell and all of summary.json do not",
     }
     return json.dumps(schema, indent=2) + "\n"
 
 
-def _float_texts(values):
-    """Each float of ``values`` as ``_fmt`` and as json.encoder write it, in two lists. Each
-    distinct float is formatted once, keyed by its bits (by value, -0.0 would take 0.0's text)."""
-    bits, where = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
-    distinct, where = bits.view(np.float64).tolist(), where.tolist()
-    special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.encoder's, else repr
-    return [list(map(texts.__getitem__, where))
-            for texts in (list(map(_fmt, distinct)), [special.get(t, t) for t in map(repr, distinct)])]
-
-
 def emit_outputs(records, summary, out_dir):
-    """Write runs.csv, summary.json, deltas.csv, and schema.json under ``out_dir``, a path or a
-    string; the summary's delta_stats lists hold floats. I/O errors name the offending path."""
-    import json, re  # here, so that importing the package does not load them
+    """Write runs.csv, summary.json (all but delta_stats), deltas.csv (delta_stats) and
+    schema.json under ``out_dir``, a path or a string. I/O errors name the offending path."""
+    import json  # here, so that importing the package does not load it
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -445,27 +439,20 @@ def emit_outputs(records, summary, out_dir):
     (out_dir / RUNS_CSV).write_text("\n".join(lines) + "\n")
 
     stats = summary["delta_stats"]
-    places = [(name, stat) for name in names for stat in ("median", "min", "max")]
-    lists = [stats[name][stat] for name, stat in places]
+    lists = [stats[name][stat] for name in names for stat in ("median", "min", "max")]
+    # each distinct float is formatted once, keyed by its bits (by value, -0.0 would take 0.0's text)
+    bits, where = np.unique(np.concatenate(lists, dtype=float).view(np.int64), return_inverse=True)
+    distinct = list(map(_fmt, bits.view(np.float64).tolist()))
+    texts = list(map(distinct.__getitem__, where.tolist()))
     ends = np.cumsum([0, *map(len, lists)]).tolist()
-    csv, texts = ([every[lo:hi] for lo, hi in zip(ends, ends[1:])]
-                  for every in _float_texts([x for values in lists for x in values]))
+    csv = [texts[lo:hi] for lo, hi in zip(ends, ends[1:])]
     rows = [(name, *csv[3 * i:3 * i + 3]) for i, name in enumerate(names)]
     delta_lines = ["iteration,algorithm,median,min,max"] + [
         f"{k},{name},{median[k]},{low[k]},{high[k]}"
         for k in range(len(next(iter(stats.values()))["median"])) for name, median, low, high in rows]
     (out_dir / DELTAS_CSV).write_text("\n".join(delta_lines) + "\n")
 
-    # json.dumps with an indent runs the pure-Python encoder, so the nine delta lists, most of
-    # the file, are dumped as marks and replaced by their joined texts at the encoder's indent
-    shell, bodies = {name: dict(values) for name, values in stats.items()}, {}
-    for i, ((name, stat), values) in enumerate(zip(places, texts)):
-        shell[name][stat] = mark = f"\0{i}"
-        bodies[json.dumps(mark)] = "[\n        " + ",\n        ".join(values) + "\n      ]" if values else "[]"
-    text = json.dumps({**summary, "delta_stats": shell}, indent=2)
-    text = (re.sub("|".join(map(re.escape, bodies)), lambda found: bodies[found[0]], text)
-            if all(text.count(mark) == 1 for mark in bodies)  # else another string holds a mark
-            else json.dumps(summary, indent=2))
-    (out_dir / SUMMARY_JSON).write_text(text + "\n")
+    rest = {key: value for key, value in summary.items() if key != "delta_stats"}
+    (out_dir / SUMMARY_JSON).write_text(json.dumps(rest, indent=2) + "\n")
     (out_dir / SCHEMA_JSON).write_text(_schema_json())
     return [out_dir / RUNS_CSV, out_dir / SUMMARY_JSON, out_dir / DELTAS_CSV, out_dir / SCHEMA_JSON]

@@ -71,7 +71,7 @@ from .box import HyperBox
 # frobenius_norm is not called; perfbench/tracing.py wraps solvers.frobenius_norm by name
 from .linalg import as_array, as_integer, as_matrix, check_finite, frobenius_norm  # noqa: F401
 
-# The one solver implementation; recorded in experiment summaries.
+# The one solver implementation; perfbench records it (rcp.BACKEND) with each run.
 BACKEND = "numpy"
 
 ALGORITHMS = ("DR", "MAP", "DYK")

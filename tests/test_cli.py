@@ -367,8 +367,9 @@ def test_solve_prints_the_distance_of_experiment_run_zero(alg, case, capsys):
     ("experiment", {"r": [1, 1]}, "the config has no s"),
     ("experiment", {"s": [1, 1], "r": [1, 1], "max_iterations": 2.5}, "max_iterations must be an integer"),
     ("experiment", {"s": [1, 1], "r": [1, 1], "num_runs": "3"}, "num_runs must be an integer"),
-    ("experiment", {"s": [1, 1], "r": [1, 1], "distance_tie_tol": -1},
-     "distance_tie_tol must be a finite nonnegative number"),
+    # the distance tie tolerance is a constant since schema 5
+    ("experiment", {"s": [1, 1], "r": [1, 1], "distance_tie_tol": 1e-15},
+     "unknown config key(s) 'distance_tie_tol'"),
     ("experiment", {"s": [1, 1], "r": [1, 1], "feasibility_tol": "1e-9"},
      "feasibility_tol must be a finite nonnegative number"),
     ("experiment", {"s": {"a": 1}, "r": [1, 1]}, "s must hold numbers"),
@@ -395,7 +396,7 @@ def test_solve_prints_the_distance_of_experiment_run_zero(alg, case, capsys):
     ("experiment", '{"s": [1, 1], "r": [1, 1], "seed": ' + "1" * 5001 + "}",
      "config.json: Exceeds the limit (4300 digits)"),
 ], ids=["unknown-key", "json-list", "missing-s", "fractional-iterations", "string-runs",
-        "negative-tie-tol", "string-tol", "non-numeric-s", "bool-runs", "bool-iterations",
+        "retired-tie-tol", "string-tol", "non-numeric-s", "bool-runs", "bool-iterations",
         "bool-tol", "bool-targets", "string-s", "overflowing-init-width", "huge-int-init",
         "huge-int-tol", "overflowing-targets", "project-missing-s", "solve-missing-s",
         "overlong-int-text"])
@@ -424,15 +425,22 @@ def test_bad_config_ends_with_one_line_error(command, config, message, tmp_path,
     (["solve", "--config", "{missing}"], "cannot load config {missing}"),
     (["experiment", "--config", "{missing}", "--out-dir", "{out}"], "cannot load config {missing}"),
     (["solve", "--config", "{bad}"], "cannot load config {bad}"),
+    (["project", "{empty}"], "matrix file {empty} is empty"),
+    (["project", "{huge}"], "the projection has non-finite entries"),
 ], ids=["solve-malformed-matrix", "project-malformed-matrix", "short-matrix", "start-shape",
-        "solve-missing-config", "experiment-missing-config", "config-not-json"])
+        "solve-missing-config", "experiment-missing-config", "config-not-json", "empty-matrix",
+        "non-finite-projection"])
 def test_bad_files_end_with_one_line_error(argv, message, tmp_path, capsys):
-    paths = {"bad": tmp_path / "bad.txt", "short": tmp_path / "short.txt",
-             "start": tmp_path / "start.txt", "missing": tmp_path / "missing.json",
-             "out": tmp_path / "out"}
+    paths = {name: tmp_path / f"{name}.txt" for name in ("bad", "short", "start", "empty", "huge")}
+    paths.update(missing=tmp_path / "missing.json", out=tmp_path / "out")
     paths["bad"].write_text("2 x\n1 2\n3 4\n")
     paths["short"].write_text("2 2\n1 2\n3\n")
     write_matrix_file(paths["start"], np.ones((2, 2)))
+    paths["empty"].write_text("\n \n")
+    # a finite 4x5 matrix whose row sum, and so its projection, overflows float64
+    huge = np.zeros((4, 5))
+    huge[0, :2] = 1e308
+    write_matrix_file(paths["huge"], huge)
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -13,7 +14,7 @@ from rowcolproj.box import HyperBox, make_box
 from rowcolproj.linalg import frobenius_norm
 from rowcolproj import operator as rcp_operator
 from rowcolproj.operator import OUTER_BUFSIZE, ScaledMarginalOperator, unit_operator
-from rowcolproj.solvers import SolverConfig, _solve, run, run_batch
+from rowcolproj.solvers import SolverConfig, _solve, _square_bound, run, run_batch
 
 from _support import (
     DEMO_COL_SUMS,
@@ -53,6 +54,14 @@ def test_config_validation():
         with pytest.raises(ValueError, match="feasibility_tol must be a finite nonnegative number"):
             SolverConfig(algorithm="DR", feasibility_tol=value)
     assert SolverConfig(algorithm="dyk").algorithm == "DYK"
+
+
+# 8.736538239003422e-157 squares to a subnormal whose root exceeds it: the downward step
+@pytest.mark.parametrize("tol", [0.0, 5e-324, 8.736538239003422e-157, 1e-9, 1e200])
+def test_square_bound_is_the_largest_square_whose_root_is_within_the_tolerance(tol):
+    q = _square_bound(tol)
+    assert math.sqrt(q) <= tol
+    assert q == sys.float_info.max or math.sqrt(math.nextafter(q, math.inf)) > tol
 
 
 @pytest.mark.parametrize("value", [2.5, "3", 3.0, True])
