@@ -14,12 +14,14 @@ Randomness: run ``i`` uses numpy's PCG64 seeded with
 substream and changing ``num_runs`` never reshuffles earlier runs.
 The run indices are cut into contiguous blocks, solved serially or by
 a process pool, and joined in block order, so the output is
-byte-identical whatever the blocking, ``jobs`` or worker scheduling.
+byte-identical whatever the blocking, ``jobs``, threads or scheduling.
 """
 
+import contextvars
 import ctypes
 import os
 import sys
+import threading
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
@@ -209,42 +211,67 @@ def _algorithm_results(spec, starts, trace_list):
 
 
 def _worker_count(jobs, num_runs):
-    """Worker processes for ``jobs``: never more than num_runs or the CPUs this process may
-    use (its affinity mask where the OS has one, else the CPU count); jobs < 1 is refused."""
+    """Worker processes for ``jobs``, at most num_runs and the CPUs this process may use (its affinity
+    mask, else the CPU count), and whether each worker has a spare CPU; jobs < 1 is refused."""
     jobs = as_integer(jobs, name="jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
-    return min(jobs, cpus, num_runs)
+    workers = min(jobs, cpus, num_runs)
+    return workers, cpus >= 2 * workers
+
+
+@cache
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, found once, or None."""
+    with suppress(OSError, AttributeError, StopIteration):  # RTLD_NOLOAD: the copy numpy loaded
+        path = next((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+        return get, put
+
+
+_blas_lock, _blas_saved = threading.Lock(), []  # the count each open block found: the caller's, then 1s
 
 
 @contextmanager
 def _one_blas_thread():
     """One thread for numpy's bundled OpenBLAS, if loaded, inside the block: workers forked there
-    keep it and do not oversubscribe the CPUs (set after a fork, it starts a spinning thread)."""
-    threads, paths = None, (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")
-    with suppress(OSError, AttributeError, StopIteration):  # RTLD_NOLOAD: the copy numpy loaded
-        lib = ctypes.CDLL(str(next(paths)), mode=os.RTLD_NOLOAD)
-        put = lib.scipy_openblas_set_num_threads64_
-        put.argtypes, put.restype = [ctypes.c_int], None
-        threads = lib.scipy_openblas_get_num_threads64_()
-        put(1)
+    keep it and do not oversubscribe the CPUs (set after a fork, it starts a spinning thread).
+    Blocks may overlap across threads: only the last exit restores the caller's count."""
+    blas = _openblas()
+    with _blas_lock:
+        if blas:
+            _blas_saved.append(blas[0]())
+            blas[1](1)
     try:
         yield
     finally:
-        if threads is not None:
-            put(threads)
+        with _blas_lock:
+            if blas:
+                blas[1](_blas_saved.pop())
 
 
-def _run_block(spec, affine_set, box, indices):
-    """Solve the runs ``indices`` with one engine call per algorithm; _build_problem checked the problem.
-    Returns the records and each algorithm's table of full-length delta rows."""
+def _run_block(spec, affine_set, box, spare_cpu, indices):
+    """Solve the runs ``indices``, one engine call per algorithm (_build_problem checked the problem);
+    with ``spare_cpu`` and at least BLOCK_ENTRIES / 2 start entries, DR then MAP run beside Dykstra on a
+    helper thread, in a copy of this context. Returns the records and each algorithm's delta table."""
     starts = np.stack([draw_start(spec, i) for i in indices])
-    tables, results = {}, {}
-    for key in ALGORITHMS:
-        tables[key], traces = _solve(affine_set, box, starts, spec.solver_config(key))
-        results[key] = _algorithm_results(spec, starts, traces)
-        del traces  # with its found matrices, before the next engine call
+
+    def solve(key):  # its traces, with their found matrices, are freed before the next engine call
+        table, traces = _solve(affine_set, box, starts, spec.solver_config(key))
+        return table, _algorithm_results(spec, starts, traces)
+
+    if spare_cpu and starts.size * 2 >= BLOCK_ENTRIES:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=1) as helper:  # numpy drops the GIL in large steps
+            side = helper.submit(contextvars.copy_context().run, lambda: [*map(solve, ALGORITHMS[:-1])])
+            last = solve(ALGORITHMS[-1])
+        solved = [*side.result(), last]
+    else:
+        solved = [*map(solve, ALGORITHMS)]
+    tables, results = (dict(zip(ALGORITHMS, column)) for column in zip(*solved))
     records = []
     for pos, run_index in enumerate(indices):
         run_results = {key: results[key][pos] for key in ALGORITHMS}
@@ -257,6 +284,7 @@ def _run_block(spec, affine_set, box, indices):
     return records, tables
 
 
+@_one_blas_thread()
 def run_experiment(spec, jobs=1):
     """Execute the batch; returns (records in run-index order, summary dict).
 
@@ -265,13 +293,15 @@ def run_experiment(spec, jobs=1):
     ceil(num_runs / workers) runs; each block is one stacked engine call
     per algorithm. With ``jobs`` > 1 the blocks go to a pool of at most
     ``jobs`` worker processes, and never more than the CPUs this process may use.
+    It runs under one OpenBLAS thread (the distance SVDs are slower at more); blocks of at least
+    BLOCK_ENTRIES / 2 start entries get a helper thread where each worker has a spare CPU (_run_block).
     """
-    workers = _worker_count(jobs, spec.num_runs)
+    workers, spare_cpu = _worker_count(jobs, spec.num_runs)
     affine_set, box = _build_problem(spec)
     runs = range(spec.num_runs)
     size = min(max(1, BLOCK_ENTRIES // (spec.m * spec.n)), -(-len(runs) // workers))
     blocks = [runs[lo:lo + size] for lo in range(0, len(runs), size)]
-    solve = partial(_run_block, spec, affine_set, box)
+    solve = partial(_run_block, spec, affine_set, box, spare_cpu)
     if workers == 1:
         parts = list(map(solve, blocks))
     else:
@@ -280,7 +310,7 @@ def run_experiment(spec, jobs=1):
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
         fork = get_context("fork") if sys.platform == "linux" else None
-        with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
             parts = list(pool.map(solve, blocks))
     records = [rec for part, _ in parts for rec in part]
     return records, summarize(records, spec, [tables for _, tables in parts],

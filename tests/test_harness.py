@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -368,6 +369,17 @@ def test_importing_the_package_loads_no_process_pool():
     assert proc.stdout.strip() == "False"
 
 
+def test_a_100_run_4x5_batch_loads_no_thread_pool():
+    # its block (2000 entries) is below the helper's threshold, so nothing is imported or built
+    # for the helper, whatever the CPUs
+    probe = ("import sys; from rowcolproj.harness import ExperimentSpec, run_experiment; "
+             "run_experiment(ExperimentSpec(s=[32, 43, 33, 23], r=[24, 18, 37, 27, 25], num_runs=100)); "
+             "print('concurrent.futures.thread' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_importing_the_package_loads_no_json():
     # json is loaded only to write the output files
     probe = "import sys, rowcolproj; print('json' in sys.modules)"
@@ -516,8 +528,188 @@ def test_run_block_frees_each_algorithms_traces_before_the_next_engine_call(monk
         return table, traces
 
     monkeypatch.setattr(harness, "_solve", watched)
-    harness._run_block(spec, affine_set, box, range(spec.num_runs))
+    harness._run_block(spec, affine_set, box, False, range(spec.num_runs))
     assert len(found) > 2 * spec.num_runs
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's bundled OpenBLAS at two threads for the test, and its own count again after."""
+    blas = harness._openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    threads = blas[0]()
+    blas[1](2)
+    yield
+    blas[1](threads)
+
+
+def spy_solve(monkeypatch):
+    """Replaces harness._solve with a spy; gives the list of its calls' (algorithm, thread,
+    np.geterr(), np.getbufsize(), OpenBLAS thread count)."""
+    calls, solve = [], harness._solve
+
+    def spied(affine_set, box, starts, config):
+        calls.append((config.algorithm, threading.current_thread(), np.geterr(), np.getbufsize(),
+                      bundled_openblas_threads()))
+        return solve(affine_set, box, starts, config)
+
+    monkeypatch.setattr(harness, "_solve", spied)
+    return calls
+
+
+def helper_blocks(monkeypatch, spec):
+    """Lowers BLOCK_ENTRIES so that ``spec``'s blocks of two starts are large enough for the helper."""
+    monkeypatch.setattr(harness, "BLOCK_ENTRIES", 2 * spec.m * spec.n)
+
+
+def off_main(calls, main):
+    """The algorithms of the engine calls that ran on another thread than ``main``."""
+    return sorted({algorithm for algorithm, thread, *_ in calls if thread is not main})
+
+
+@pytest.mark.parametrize("case", ["convex", "integer"])
+def test_the_helper_thread_gives_the_serial_records_summary_and_files(case, tmp_path, monkeypatch):
+    spec = small_spec(case=case, num_runs=7, max_iterations=60)
+    helper_blocks(monkeypatch, spec)
+    calls, main, outputs = spy_solve(monkeypatch), threading.current_thread(), []
+    for cpus in (1, 2):  # one usable CPU leaves no spare one: no helper
+        allow_cpus(monkeypatch, cpus)
+        records, summary = run_experiment(spec)
+        paths = emit_outputs(records, summary, tmp_path / str(cpus))
+        outputs.append((records, summary, [path.read_bytes() for path in paths]))
+        assert off_main(calls, main) == ([] if cpus == 1 else ["DR", "MAP"])
+        calls.clear()
+    (serial, serial_summary, serial_files), (helped, helped_summary, helped_files) = outputs
+    assert helped_summary == serial_summary and helped_files == serial_files
+    assert [rec.run_index for rec in helped] == list(range(spec.num_runs))
+    for a, b in zip(serial, helped):
+        assert (a.feasibility_order, a.distance_order) == (b.feasibility_order, b.distance_order)
+        for key in ALGORITHMS:
+            x, y = a.results[key], b.results[key]
+            assert (x.converged, x.iterations, x.distance) == (y.converged, y.iterations, y.distance)
+            assert same_bits(x.deltas, y.deltas) and same_bits(x.solution, y.solution)
+
+
+def test_the_helper_runs_dr_and_map_under_the_callers_numpy_settings(two_blas_threads, monkeypatch):
+    spec = small_spec(num_runs=4, max_iterations=20)
+    helper_blocks(monkeypatch, spec)
+    allow_cpus(monkeypatch, 2)
+    calls, main = spy_solve(monkeypatch), threading.current_thread()
+    with np.errstate(all="ignore"):
+        np.setbufsize(16384)
+        settings = np.geterr(), np.getbufsize()
+        run_experiment(spec)
+    assert settings != (np.geterr(), np.getbufsize())
+    assert [call[0] for call in calls].count("DR") == 2  # two blocks of two starts
+    assert off_main(calls, main) == ["DR", "MAP"]
+    for algorithm, thread, errors, bufsize, blas_threads in calls:
+        assert (algorithm == "DYK") == (thread is main)
+        assert (errors, bufsize, blas_threads) == (*settings, 1)
+    assert bundled_openblas_threads() == 2
+
+
+@pytest.mark.parametrize("shape, runs", [((4, 5), 1639), ((32, 48), 22)])
+def test_the_helper_starts_at_half_block_entries_whatever_the_start_size(shape, runs, monkeypatch):
+    # at the default BLOCK_ENTRIES and --jobs 1, a batch of ``runs`` has the first block of at
+    # least BLOCK_ENTRIES / 2 entries; one run fewer takes no helper
+    counts = np.random.default_rng(0).integers(0, 10, shape)
+    allow_cpus(monkeypatch, 2)
+    calls, main = spy_solve(monkeypatch), threading.current_thread()
+    for num_runs, helped in ((runs - 1, []), (runs, ["DR", "MAP"])):
+        run_experiment(ExperimentSpec(s=counts.sum(axis=1), r=counts.sum(axis=0),
+                                      num_runs=num_runs, max_iterations=2))
+        assert off_main(calls, main) == helped
+        assert sorted(call[0] for call in calls) == sorted(ALGORITHMS)  # one block
+        calls.clear()
+
+
+def test_a_helper_exception_reaches_the_caller_and_restores_the_blas_count(two_blas_threads,
+                                                                          monkeypatch):
+    spec = small_spec(num_runs=4, max_iterations=20)
+    helper_blocks(monkeypatch, spec)
+    allow_cpus(monkeypatch, 2)
+    solve, main = harness._solve, threading.current_thread()
+
+    class Failed(Exception):
+        pass
+
+    def failing(affine_set, box, starts, config):
+        if config.algorithm == "MAP" and threading.current_thread() is not main:
+            raise Failed
+        return solve(affine_set, box, starts, config)
+
+    monkeypatch.setattr(harness, "_solve", failing)
+    with pytest.raises(Failed):
+        run_experiment(spec)
+    assert bundled_openblas_threads() == 2 and harness._blas_saved == []
+
+
+def test_pooled_jobs_take_the_helper_only_with_a_spare_cpu_per_worker(serial_pool, monkeypatch):
+    spec = small_spec(num_runs=8, max_iterations=20)
+    helper_blocks(monkeypatch, spec)
+    calls, main = spy_solve(monkeypatch), threading.current_thread()
+    for cpus, helped in ((2, []), (3, []), (4, ["DR", "MAP"])):
+        allow_cpus(monkeypatch, cpus)
+        run_experiment(spec, jobs=2)
+        assert serial_pool[0].pop() == 2
+        assert off_main(calls, main) == helped
+        calls.clear()
+
+
+def test_overlapping_one_blas_thread_blocks_restore_the_callers_count(two_blas_threads):
+    # thread A enters, then B; A leaves first: B still runs one thread, and B's exit restores two
+    a_in, b_in, a_out, seen = threading.Event(), threading.Event(), threading.Event(), {}
+
+    def a():
+        with harness._one_blas_thread():
+            a_in.set()
+            assert b_in.wait(10)
+        a_out.set()
+
+    def b():
+        assert a_in.wait(10)
+        with harness._one_blas_thread():
+            b_in.set()
+            assert a_out.wait(10)
+            seen["A left"] = bundled_openblas_threads()
+        seen["both left"] = bundled_openblas_threads()
+
+    threads = [threading.Thread(target=f) for f in (a, b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == {"A left": 1, "both left": 2}
+    assert harness._blas_saved == []
+
+
+def test_one_blas_thread_holds_across_many_switching_threads(two_blas_threads):
+    # rounds of more threads than CPUs, switching every microsecond: each block runs one
+    # thread, and the count is two again once all have left
+    count, interval = harness._openblas()[0], sys.getswitchinterval()
+
+    def enter_often(seen):
+        for _ in range(2000):
+            with harness._one_blas_thread():
+                seen.append(count())
+
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            seen = []
+            threads = [threading.Thread(target=enter_often, args=(seen,))
+                       for _ in range((os.cpu_count() or 1) + 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 2000 * len(threads) and set(seen) == {1}
+            assert count() == 2 and harness._blas_saved == []
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_emit_outputs_files(tmp_path):

@@ -38,8 +38,8 @@ per-pair change/base ratios of every cell and of every perfbench metric,
 raw time and probe median; each tree's perfbench operations attempted
 and failed; and what the records lack of the environment.
 
-As in tools/golden.py, delta row hashes are not compared across a
-change of harness.SCHEMA_VERSION. Exit status: 0 when every process of
+Delta row hashes are not compared across a change of
+harness.SCHEMA_VERSION. Exit status: 0 when every process of
 both trees gave the same compared hashes and feasible iterations, 1
 otherwise. Run nothing else on the machine meanwhile; 20 pairs take
 about 12 minutes on 2 CPUs, and --write adds about 2 minutes per pair.

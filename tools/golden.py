@@ -27,13 +27,13 @@ general weights, explicit all-ones weights, zero row weights, zero
 column weights, both zero, and all weights 1e76, the largest
 all-equal weights the operator accepts at 4x5).
 
-A change of harness.SCHEMA_VERSION announces different output in what
-the schema defines: summary.json, deltas.csv, schema.json and the delta
-lines of ``solve``. Those are listed as changed and not compared then;
-everything else still is: the exit status, the stderr, whether the
---out-dir exists, every experiment's runs.csv and every ``project``
-stdout. Exit status: 0 when every compared output matches, 1 when a
-case differs.
+A change of harness.SCHEMA_VERSION announces different output in the
+files that describe a batch: summary.json and schema.json. Those are
+listed as changed and not compared then; everything else still is: the
+exit status, the stderr, whether the --out-dir exists, every
+experiment's runs.csv and deltas.csv, and every ``solve`` and
+``project`` stdout. Exit status: 0 when every compared output matches,
+1 when a case differs.
 """
 
 import argparse
@@ -49,7 +49,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENT_FILES = ("runs.csv", "summary.json", "deltas.csv", "schema.json")
-SCHEMA_FILES = ("summary.json", "deltas.csv", "schema.json")  # and solve's stdout
+SCHEMA_FILES = ("summary.json", "schema.json")
 # A fixed 4x5 matrix for the project cases and the solve --input cases.
 PROJECT_MATRIX = "4 5\n1 -2 3.5 0 7\n0.25 4 -1 2 9\n3 3 3 3 3\n-6 0.5 8 1 -4\n"
 PROJECT_FLAGS = (
@@ -150,12 +150,12 @@ def run_case(tree, args, files, out_dir):
         (out_dir / name).read_bytes() if (out_dir / name).exists() else None for name in files]
 
 
-def schema_free(args, files, output):
+def schema_free(files, output):
     """The part of one case's output that no schema version defines: all but the
-    SCHEMA_FILES of an experiment, and all but the stdout of ``solve``."""
+    SCHEMA_FILES of an experiment, and all of any other case."""
     status, stderr, parts = output
     if files is None:
-        return status, stderr, parts if args[0] != "solve" else []
+        return output
     return status, stderr, parts[:1] + [part for name, part in zip(files, parts[1:])
                                         if name not in SCHEMA_FILES]
 
@@ -192,14 +192,13 @@ def main(argv=None):
         new_schema = base_schema != head_schema
         if new_schema:
             print(f"schema_version changes from {base_schema} to {head_schema}: "
-                  f"{', '.join(SCHEMA_FILES)} and the solve stdout are changed by the schema "
-                  "and not compared")
+                  f"{' and '.join(SCHEMA_FILES)} are changed by the schema and not compared")
         differing = []
         for number, (name, case_args, files) in enumerate(cases(work)):
             outputs = [run_case(tree, case_args, files, work / f"{label}-{number}")
                        for label, tree in (("base", base), ("head", ROOT))]
             if new_schema:
-                outputs = [schema_free(case_args, files, output) for output in outputs]
+                outputs = [schema_free(files, output) for output in outputs]
             same = outputs[0] == outputs[1]
             print(f"{'same   ' if same else 'DIFFERS'} {name} (exit status "
                   f"{outputs[0][0]} -> {outputs[1][0]})", flush=True)
