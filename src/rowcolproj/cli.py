@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .affine import make_affine_set
-from .harness import (ExperimentSpec, _algorithm_results, _build_problem, _fmt, draw_start,
+from .harness import (ExperimentSpec, _build_problem, _fmt, _solve_starts, draw_start,
                       emit_outputs, run_experiment)
 from .linalg import as_matrix, as_vector
 from .operator import ScaledMarginalOperator
-from .solvers import ALGORITHMS, _solve
+from .solvers import ALGORITHMS
 
 DEFAULT_CONFIG = "demo_4x5.json"
 
@@ -120,8 +120,7 @@ def cmd_solve(args):
     if T0.shape != affine_set.shape:
         raise ValueError(f"the start matrix is {T0.shape[0]}x{T0.shape[1]} "
                          f"but the targets imply {spec.m}x{spec.n}")
-    _, (trace,) = _solve(affine_set, box, T0[None], spec.solver_config(args.alg))
-    (result,) = _algorithm_results(spec, T0[None], [trace])
+    _, (trace,), (result,) = _solve_starts(spec, affine_set, box, T0[None], args.alg)
     for k, delta in enumerate(result.deltas):
         print(f"{k} {_fmt(delta)}")
     if result.converged:

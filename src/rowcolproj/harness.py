@@ -12,9 +12,9 @@ found matrices for exact deduplication.
 Randomness: run ``i`` uses numpy's PCG64 seeded with
 ``SeedSequence(seed, spawn_key=(i,))``, so each run has an independent
 substream and changing ``num_runs`` never reshuffles earlier runs.
-The run indices are cut into contiguous blocks, solved serially or by
-a process pool, and joined in block order, so the output is
-byte-identical whatever the blocking, ``jobs``, threads or scheduling.
+The run indices are cut into contiguous blocks, solved as (block, algorithm)
+tasks in turn, on threads or in a process pool, and joined in block order, so
+the output is byte-identical whatever the blocking, ``jobs``, threads or order.
 """
 
 import contextvars
@@ -189,36 +189,31 @@ def _build_problem(spec):
     return affine_set, box
 
 
-def _algorithm_results(spec, starts, trace_list):
-    """One AlgorithmResult per start; the distances come from one stacked norm."""
-    hit = [pos for pos, trace in enumerate(trace_list) if trace.converged]
-    distances = [None] * len(trace_list)
+def _solve_starts(spec, affine_set, box, starts, algorithm):
+    """One task: ``algorithm`` from each start of the stack in one engine call (_build_problem checked
+    the problem); the delta table, traces and AlgorithmResults, their distances from one stacked norm."""
+    table, traces = _solve(affine_set, box, starts, spec.solver_config(algorithm))
+    hit, distances = [pos for pos, trace in enumerate(traces) if trace.converged], {}
     if hit:
-        found = np.stack([trace_list[pos].first_feasible_matrix for pos in hit])
-        for pos, distance in zip(hit, spectral_norm(starts[hit] - found)):
-            distances[pos] = float(distance)
-    return [
-        AlgorithmResult(
-            converged=trace.converged,
-            iterations=trace.first_feasible_iteration,
-            distance=distance,
-            deltas=trace.deltas,
-            solution=(trace.first_feasible_matrix.astype(np.int64)
-                      if trace.converged and spec.case == "integer" else None),
-        )
-        for trace, distance in zip(trace_list, distances)
-    ]
+        found = np.stack([traces[pos].first_feasible_matrix for pos in hit])
+        distances = dict(zip(hit, spectral_norm(starts[hit] - found).tolist()))
+    return table, traces, [
+        AlgorithmResult(converged=trace.converged, iterations=trace.first_feasible_iteration,
+                        distance=distances.get(pos), deltas=trace.deltas,
+                        solution=(trace.first_feasible_matrix.astype(np.int64)
+                                  if trace.converged and spec.case == "integer" else None))
+        for pos, trace in enumerate(traces)]
 
 
 def _worker_count(jobs, num_runs):
     """Worker processes for ``jobs``, at most num_runs and the CPUs this process may use (its affinity
-    mask, else the CPU count), and whether each worker has a spare CPU; jobs < 1 is refused."""
+    mask, else the CPU count), and the CPUs each worker may use; jobs < 1 is refused."""
     jobs = as_integer(jobs, name="jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
     workers = min(jobs, cpus, num_runs)
-    return workers, cpus >= 2 * workers
+    return workers, cpus // workers
 
 
 @cache
@@ -253,57 +248,66 @@ def _one_blas_thread():
                 blas[1](_blas_saved.pop())
 
 
-def _run_block(spec, affine_set, box, spare_cpu, indices):
-    """Solve the runs ``indices``, one engine call per algorithm (_build_problem checked the problem);
-    with ``spare_cpu`` and at least BLOCK_ENTRIES / 2 start entries, DR then MAP run beside Dykstra on a
-    helper thread, in a copy of this context. Returns the records and each algorithm's delta table."""
-    starts = np.stack([draw_start(spec, i) for i in indices])
+def _run_blocks(spec, affine_set, box, threads, blocks):
+    """Solve the blocks of run indices as (block, algorithm) tasks, Dykstra (the longest) first in each, on
+    up to ``threads`` threads (this one too) where numpy drops the GIL; returns the records and block tables."""
+    order, lock, drawn, solved = (ALGORITHMS[-1], *ALGORITHMS[:-1]), threading.Lock(), {}, {}
+    tasks = [(pos, key) for pos in range(len(blocks)) for key in order]
+    threads, todo = min(threads, len(tasks)), iter(tasks)
 
-    def solve(key):  # its traces, with their found matrices, are freed before the next engine call
-        table, traces = _solve(affine_set, box, starts, spec.solver_config(key))
-        return table, _algorithm_results(spec, starts, traces)
+    def take():  # the next task until none is left; one that raises leaves the other threads none
+        try:
+            for pos, key in todo:
+                with lock:  # a block's first task draws its starts, and its last drops them
+                    starts, left = drawn.pop(pos, None) or (
+                        np.stack([draw_start(spec, i) for i in blocks[pos]]), len(order))
+                    if left > 1:
+                        drawn[pos] = starts, left - 1
+                solved[pos, key] = _solve_starts(spec, affine_set, box, starts, key)[::2]  # frees the traces
+                del starts  # so that a thread holds no block's starts between its tasks
+        finally:
+            list(todo)
 
-    if spare_cpu and starts.size * 2 >= BLOCK_ENTRIES:
+    if threads > 1 and len(blocks[0]) * spec.m * spec.n * 2 >= BLOCK_ENTRIES:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=1) as helper:  # numpy drops the GIL in large steps
-            side = helper.submit(contextvars.copy_context().run, lambda: [*map(solve, ALGORITHMS[:-1])])
-            last = solve(ALGORITHMS[-1])
-        solved = [*side.result(), last]
+        with ThreadPoolExecutor(threads - 1) as pool:  # numpy drops the GIL in large steps
+            others = [pool.submit(contextvars.copy_context().run, take) for _ in range(threads - 1)]
+            take()
+        for other in others:
+            other.result()
     else:
-        solved = [*map(solve, ALGORITHMS)]
-    tables, results = (dict(zip(ALGORITHMS, column)) for column in zip(*solved))
+        take()
     records = []
-    for pos, run_index in enumerate(indices):
-        run_results = {key: results[key][pos] for key in ALGORITHMS}
-        converged = [(DISPLAY_NAMES[key], res) for key, res in run_results.items() if res.converged]
-        records.append(RunRecord(
-            run_index=run_index, results=run_results,
-            feasibility_order=_order_label([(name, res.iterations) for name, res in converged], 0),
-            distance_order=_order_label([(name, res.distance) for name, res in converged],
-                                        DISTANCE_TIE_TOL)))
-    return records, tables
+    for pos, indices in enumerate(blocks):
+        for i, run_index in enumerate(indices):
+            run_results = {key: solved[pos, key][1][i] for key in ALGORITHMS}
+            converged = [(DISPLAY_NAMES[key], res) for key, res in run_results.items() if res.converged]
+            records.append(RunRecord(
+                run_index=run_index, results=run_results,
+                feasibility_order=_order_label([(name, res.iterations) for name, res in converged], 0),
+                distance_order=_order_label([(name, res.distance) for name, res in converged], DISTANCE_TIE_TOL)))
+    return records, [{key: solved[pos, key][0] for key in ALGORITHMS} for pos in range(len(blocks))]
 
 
 @_one_blas_thread()
 def run_experiment(spec, jobs=1):
     """Execute the batch; returns (records in run-index order, summary dict).
 
-    The problem is built once. The run indices are cut into contiguous
-    blocks of at most BLOCK_ENTRIES start entries and at most
-    ceil(num_runs / workers) runs; each block is one stacked engine call
-    per algorithm. With ``jobs`` > 1 the blocks go to a pool of at most
-    ``jobs`` worker processes, and never more than the CPUs this process may use.
-    It runs under one OpenBLAS thread (the distance SVDs are slower at more); blocks of at least
-    BLOCK_ENTRIES / 2 start entries get a helper thread where each worker has a spare CPU (_run_block).
+    The problem is built once. The run indices are cut into contiguous blocks of at most
+    BLOCK_ENTRIES start entries and at most ceil(num_runs / workers) runs; each block is one stacked
+    engine call per algorithm. With ``jobs`` > 1 the blocks go to a pool of at most ``jobs`` worker
+    processes, never more than the CPUs this process may use. It runs under one OpenBLAS thread (the
+    distance SVDs are slower at more); blocks of at least BLOCK_ENTRIES / 2 start entries run as
+    (block, algorithm) tasks on one thread per CPU of a worker (_run_blocks).
     """
-    workers, spare_cpu = _worker_count(jobs, spec.num_runs)
+    workers, threads = _worker_count(jobs, spec.num_runs)
     affine_set, box = _build_problem(spec)
     runs = range(spec.num_runs)
     size = min(max(1, BLOCK_ENTRIES // (spec.m * spec.n)), -(-len(runs) // workers))
     blocks = [runs[lo:lo + size] for lo in range(0, len(runs), size)]
-    solve = partial(_run_block, spec, affine_set, box, spare_cpu)
+    solve = partial(_run_blocks, spec, affine_set, box, threads)
     if workers == 1:
-        parts = list(map(solve, blocks))
+        records, tables = solve(blocks)
     else:
         # imported here, so that serial runs do not load the pool; forked on Linux (not by Python
         # 3.14's forkserver), workers inherit the one BLAS thread and skip an unguarded __main__
@@ -311,10 +315,9 @@ def run_experiment(spec, jobs=1):
         from multiprocessing import get_context
         fork = get_context("fork") if sys.platform == "linux" else None
         with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-            parts = list(pool.map(solve, blocks))
-    records = [rec for part, _ in parts for rec in part]
-    return records, summarize(records, spec, [tables for _, tables in parts],
-                              affine_set.projected_target)
+            parts = [*pool.map(solve, ([block] for block in blocks))]  # one block per call
+        records, tables = ([item for part in parts for item in part[i]] for i in (0, 1))
+    return records, summarize(records, spec, tables, affine_set.projected_target)
 
 
 def _count_labels(records, attr):
@@ -360,10 +363,8 @@ def summarize(records, spec, tables, projected_target):
             name: values + values[-1:] * tail
             for name, values in (("median", median), ("min", low), ("max", high))}
         del table  # before the next join
-    convergence = {
-        DISPLAY_NAMES[key]: sum(1 for rec in records if rec.results[key].converged)
-        for key in ALGORITHMS
-    }
+    convergence = {DISPLAY_NAMES[key]: sum(rec.results[key].converged for rec in records)
+                   for key in ALGORITHMS}
     echo = {"m": spec.m, "n": spec.n, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
     echo.update(s=spec.s.tolist(), r=spec.r.tolist())  # keeps the fields' key order
     summary = {

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -227,8 +228,8 @@ def serial_pool(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            iterables = [list(it) for it in iterables]
-            mapped.append([list(block) for block in iterables[-1]])
+            iterables = [list(it) for it in iterables]  # the last gives each call its blocks
+            mapped.append([list(block) for blocks in iterables[-1] for block in blocks])
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -250,13 +251,13 @@ def bundled_openblas_threads():
     return None
 
 
-RUN_BLOCK = harness._run_block
+RUN_BLOCKS = harness._run_blocks
 
 
-def run_block_in_one_blas_thread(*args):
-    """harness._run_block, once the worker it runs in reports one OpenBLAS thread."""
+def run_blocks_in_one_blas_thread(*args):
+    """harness._run_blocks, once the worker it runs in reports one OpenBLAS thread."""
     assert bundled_openblas_threads() == 1
-    return RUN_BLOCK(*args)
+    return RUN_BLOCKS(*args)
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
@@ -266,7 +267,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     allow_cpus(monkeypatch, 2)
     spec = small_spec(num_runs=4, max_iterations=20)
     _, summary = run_experiment(spec, jobs=1)
-    monkeypatch.setattr(harness, "_run_block", run_block_in_one_blas_thread)
+    monkeypatch.setattr(harness, "_run_blocks", run_blocks_in_one_blas_thread)
     assert run_experiment(spec, jobs=2)[1] == summary
     assert bundled_openblas_threads() == threads  # this process keeps its own setting
 
@@ -281,7 +282,7 @@ def test_pool_workers_are_forked_under_a_forkserver_default(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # what a fresh forkserver worker would run
     spec = small_spec(num_runs=4, max_iterations=20)
     _, summary = run_experiment(spec, jobs=1)
-    monkeypatch.setattr(harness, "_run_block", run_block_in_one_blas_thread)
+    monkeypatch.setattr(harness, "_run_blocks", run_blocks_in_one_blas_thread)
     default = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method("forkserver", force=True)
     try:
@@ -324,7 +325,7 @@ def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(serial_pool, monke
     assert started.pop() == 2
     assert mapped.pop() == [[run] for run in range(spec.num_runs)]
     # the default cap gives each 256x384 start (98 304 entries) a block of its own even
-    # in one process; the serial map's blocks are captured, and nothing is solved
+    # in one process; the serial call's blocks are captured, and nothing is solved
     monkeypatch.setattr(harness, "BLOCK_ENTRIES", default_entries)
     counts = np.random.default_rng(0).integers(0, 10, (256, 384))
     large = ExperimentSpec(s=counts.sum(axis=1), r=counts.sum(axis=0), num_runs=2)
@@ -332,14 +333,14 @@ def test_jobs_are_checked_and_workers_capped_at_the_cpu_count(serial_pool, monke
     class Captured(Exception):
         pass
 
-    def capture(fn, blocks):
+    def capture(spec, affine_set, box, threads, blocks):
         mapped.append([list(block) for block in blocks])
         raise Captured
 
-    monkeypatch.setattr(harness, "map", capture, raising=False)
-    with pytest.raises(Captured):
-        run_experiment(large, jobs=1)
-    monkeypatch.delattr(harness, "map")
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_run_blocks", capture)
+        with pytest.raises(Captured):
+            run_experiment(large, jobs=1)
     assert mapped.pop() == [[0], [1]]
     # targets without a box fail in this process, before a pool starts
     with pytest.raises(ValueError, match="range-projected"):
@@ -370,8 +371,8 @@ def test_importing_the_package_loads_no_process_pool():
 
 
 def test_a_100_run_4x5_batch_loads_no_thread_pool():
-    # its block (2000 entries) is below the helper's threshold, so nothing is imported or built
-    # for the helper, whatever the CPUs
+    # its block (2000 entries) is below the threshold for task threads, so nothing is imported
+    # or built for them, whatever the CPUs
     probe = ("import sys; from rowcolproj.harness import ExperimentSpec, run_experiment; "
              "run_experiment(ExperimentSpec(s=[32, 43, 33, 23], r=[24, 18, 37, 27, 25], num_runs=100)); "
              "print('concurrent.futures.thread' in sys.modules)")
@@ -528,7 +529,7 @@ def test_run_block_frees_each_algorithms_traces_before_the_next_engine_call(monk
         return table, traces
 
     monkeypatch.setattr(harness, "_solve", watched)
-    harness._run_block(spec, affine_set, box, False, range(spec.num_runs))
+    harness._run_blocks(spec, affine_set, box, 1, [range(spec.num_runs)])
     assert len(found) > 2 * spec.num_runs
 
 
@@ -558,103 +559,188 @@ def spy_solve(monkeypatch):
     return calls
 
 
-def helper_blocks(monkeypatch, spec):
-    """Lowers BLOCK_ENTRIES so that ``spec``'s blocks of two starts are large enough for the helper."""
+def threaded_blocks(monkeypatch, spec):
+    """Lowers BLOCK_ENTRIES so that ``spec``'s blocks of two starts are large enough for threads."""
     monkeypatch.setattr(harness, "BLOCK_ENTRIES", 2 * spec.m * spec.n)
 
 
-def off_main(calls, main):
-    """The algorithms of the engine calls that ran on another thread than ``main``."""
-    return sorted({algorithm for algorithm, thread, *_ in calls if thread is not main})
+def threads_of(calls):
+    """The threads that the spied engine calls ran on."""
+    return {thread for _, thread, *_ in calls}
+
+
+def finish_in_reverse(monkeypatch, tasks):
+    """Makes harness._solve's first ``tasks`` calls, which must all run at once, return in the
+    reverse of the order they start in, and later calls run as they come; gives the list of the
+    first calls' start tickets as they return."""
+    solve, turn, started, finished = harness._solve, threading.Condition(), [], []
+
+    def reversed_solve(*args):
+        with turn:
+            ticket = len(started)
+            started.append(ticket)
+        result = solve(*args)
+        if ticket < tasks:
+            with turn:
+                assert turn.wait_for(lambda: len(finished) == tasks - 1 - ticket, timeout=60)
+                finished.append(ticket)
+                turn.notify_all()
+        return result
+
+    monkeypatch.setattr(harness, "_solve", reversed_solve)
+    return finished
 
 
 @pytest.mark.parametrize("case", ["convex", "integer"])
-def test_the_helper_thread_gives_the_serial_records_summary_and_files(case, tmp_path, monkeypatch):
-    spec = small_spec(case=case, num_runs=7, max_iterations=60)
-    helper_blocks(monkeypatch, spec)
-    calls, main, outputs = spy_solve(monkeypatch), threading.current_thread(), []
-    for cpus in (1, 2):  # one usable CPU leaves no spare one: no helper
+def test_tasks_on_threads_give_the_serial_records_summary_and_files(case, tmp_path, monkeypatch):
+    spec = small_spec(case=case, num_runs=7, max_iterations=60)  # blocks of 2, 2, 2 and 1 starts
+    threaded_blocks(monkeypatch, spec)
+    main, outputs, tasks, pools = threading.current_thread(), [], 4 * len(ALGORITHMS), []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):  # records the threads it may start
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    for cpus in (1, 2, 16):  # one usable CPU: in turn on this thread; at 16, all 12 tasks at once
         allow_cpus(monkeypatch, cpus)
-        records, summary = run_experiment(spec)
+        threads = min(cpus, tasks)
+        with monkeypatch.context() as patch:
+            calls = spy_solve(patch)
+            finished = finish_in_reverse(patch, threads)
+            records, summary = run_experiment(spec)
         paths = emit_outputs(records, summary, tmp_path / str(cpus))
         outputs.append((records, summary, [path.read_bytes() for path in paths]))
-        assert off_main(calls, main) == ([] if cpus == 1 else ["DR", "MAP"])
-        calls.clear()
-    (serial, serial_summary, serial_files), (helped, helped_summary, helped_files) = outputs
-    assert helped_summary == serial_summary and helped_files == serial_files
-    assert [rec.run_index for rec in helped] == list(range(spec.num_runs))
-    for a, b in zip(serial, helped):
-        assert (a.feasibility_order, a.distance_order) == (b.feasibility_order, b.distance_order)
-        for key in ALGORITHMS:
-            x, y = a.results[key], b.results[key]
-            assert (x.converged, x.iterations, x.distance) == (y.converged, y.iterations, y.distance)
-            assert same_bits(x.deltas, y.deltas) and same_bits(x.solution, y.solution)
+        assert main in threads_of(calls) and len(threads_of(calls)) == threads
+        assert finished == list(range(threads))[::-1]
+    assert pools == [1, tasks - 1]  # no thread beyond one per task
+    (serial, serial_summary, serial_files), *threaded = outputs
+    for records, summary, files in threaded:
+        assert summary == serial_summary and files == serial_files
+        assert [rec.run_index for rec in records] == list(range(spec.num_runs))
+        for a, b in zip(serial, records):
+            assert (a.feasibility_order, a.distance_order) == (b.feasibility_order, b.distance_order)
+            for key in ALGORITHMS:
+                x, y = a.results[key], b.results[key]
+                assert (x.converged, x.iterations, x.distance) == (y.converged, y.iterations, y.distance)
+                assert same_bits(x.deltas, y.deltas) and same_bits(x.solution, y.solution)
 
 
-def test_the_helper_runs_dr_and_map_under_the_callers_numpy_settings(two_blas_threads, monkeypatch):
+def test_every_task_runs_under_the_callers_numpy_settings_and_one_blas_thread(two_blas_threads,
+                                                                             monkeypatch):
     spec = small_spec(num_runs=4, max_iterations=20)
-    helper_blocks(monkeypatch, spec)
+    threaded_blocks(monkeypatch, spec)
     allow_cpus(monkeypatch, 2)
-    calls, main = spy_solve(monkeypatch), threading.current_thread()
+    calls = spy_solve(monkeypatch)
+    finish_in_reverse(monkeypatch, 2)  # so each thread runs a task
     with np.errstate(all="ignore"):
         np.setbufsize(16384)
         settings = np.geterr(), np.getbufsize()
         run_experiment(spec)
     assert settings != (np.geterr(), np.getbufsize())
-    assert [call[0] for call in calls].count("DR") == 2  # two blocks of two starts
-    assert off_main(calls, main) == ["DR", "MAP"]
+    assert sorted(call[0] for call in calls) == sorted(2 * ALGORITHMS)  # two blocks of two starts
+    assert len(threads_of(calls)) == 2
     for algorithm, thread, errors, bufsize, blas_threads in calls:
-        assert (algorithm == "DYK") == (thread is main)
         assert (errors, bufsize, blas_threads) == (*settings, 1)
     assert bundled_openblas_threads() == 2
 
 
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_each_blocks_starts_are_drawn_once_and_freed_after_its_last_task(threads, monkeypatch):
+    # at 8 threads, more than the CPUs, switching every microsecond
+    spec = small_spec(num_runs=12, max_iterations=20)  # six blocks of two starts
+    threaded_blocks(monkeypatch, spec)
+    allow_cpus(monkeypatch, threads)
+    drawn, held, live, draw, solve = [], [], [], harness.draw_start, harness._solve
+    lock, at_draws = threading.Lock(), []
+
+    def counted_draw(spec, run_index):  # the drawing thread holds no other block's starts
+        with lock:
+            drawn.append(run_index)
+            at_draws.append(sum(ref() is not None for ref in held))
+        return draw(spec, run_index)
+
+    def watched(affine_set, box, starts, config):  # no more blocks' starts alive than threads
+        with lock:
+            if not any(ref() is starts for ref in held):
+                held.append(weakref.ref(starts))
+            live.append(sum(ref() is not None for ref in held))
+        return solve(affine_set, box, starts, config)
+
+    monkeypatch.setattr(harness, "draw_start", counted_draw)
+    monkeypatch.setattr(harness, "_solve", watched)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_experiment(spec)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(drawn) == list(range(spec.num_runs))
+    assert len(held) == 6 and len(live) == 6 * len(ALGORITHMS) and max(live) <= threads
+    assert max(at_draws) <= threads - 1
+    assert all(ref() is None for ref in held)
+
+
 @pytest.mark.parametrize("shape, runs", [((4, 5), 1639), ((32, 48), 22)])
-def test_the_helper_starts_at_half_block_entries_whatever_the_start_size(shape, runs, monkeypatch):
+def test_tasks_take_threads_from_half_block_entries_whatever_the_start_size(shape, runs, monkeypatch):
     # at the default BLOCK_ENTRIES and --jobs 1, a batch of ``runs`` has the first block of at
-    # least BLOCK_ENTRIES / 2 entries; one run fewer takes no helper
+    # least BLOCK_ENTRIES / 2 entries; one run fewer runs its tasks in turn on this thread
     counts = np.random.default_rng(0).integers(0, 10, shape)
     allow_cpus(monkeypatch, 2)
-    calls, main = spy_solve(monkeypatch), threading.current_thread()
-    for num_runs, helped in ((runs - 1, []), (runs, ["DR", "MAP"])):
-        run_experiment(ExperimentSpec(s=counts.sum(axis=1), r=counts.sum(axis=0),
-                                      num_runs=num_runs, max_iterations=2))
-        assert off_main(calls, main) == helped
+    main = threading.current_thread()
+    for num_runs in (runs - 1, runs):
+        with monkeypatch.context() as patch:
+            calls = spy_solve(patch)
+            if num_runs == runs:
+                finish_in_reverse(patch, 2)  # fails unless two tasks run at once
+            run_experiment(ExperimentSpec(s=counts.sum(axis=1), r=counts.sum(axis=0),
+                                          num_runs=num_runs, max_iterations=2))
         assert sorted(call[0] for call in calls) == sorted(ALGORITHMS)  # one block
-        calls.clear()
+        assert main in threads_of(calls) and len(threads_of(calls)) == (2 if num_runs == runs else 1)
 
 
-def test_a_helper_exception_reaches_the_caller_and_restores_the_blas_count(two_blas_threads,
-                                                                          monkeypatch):
-    spec = small_spec(num_runs=4, max_iterations=20)
-    helper_blocks(monkeypatch, spec)
+@pytest.mark.parametrize("raising", ["calling", "other"])
+def test_a_task_exception_reaches_the_caller_restores_the_blas_count_and_ends_the_threads(
+        raising, two_blas_threads, monkeypatch):
+    spec = small_spec(num_runs=8, max_iterations=20)  # four blocks, twelve tasks
+    threaded_blocks(monkeypatch, spec)
     allow_cpus(monkeypatch, 2)
-    solve, main = harness._solve, threading.current_thread()
+    solve, before, calls = harness._solve, set(threading.enumerate()), []
+    main = threading.current_thread()
 
     class Failed(Exception):
         pass
 
     def failing(affine_set, box, starts, config):
-        if config.algorithm == "MAP" and threading.current_thread() is not main:
+        calls.append(config.algorithm)
+        if (threading.current_thread() is main) == (raising == "calling") and Failed not in calls:
+            calls.append(Failed)
             raise Failed
+        time.sleep(0.1)  # the raising thread takes the queued tasks away meanwhile
         return solve(affine_set, box, starts, config)
 
     monkeypatch.setattr(harness, "_solve", failing)
     with pytest.raises(Failed):
         run_experiment(spec)
+    assert Failed in calls and len(calls) - 1 < 4 * len(ALGORITHMS)
     assert bundled_openblas_threads() == 2 and harness._blas_saved == []
+    assert set(threading.enumerate()) <= before
 
 
-def test_pooled_jobs_take_the_helper_only_with_a_spare_cpu_per_worker(serial_pool, monkeypatch):
+def test_pooled_jobs_use_threads_only_with_two_cpus_per_worker(serial_pool, monkeypatch):
     spec = small_spec(num_runs=8, max_iterations=20)
-    helper_blocks(monkeypatch, spec)
-    calls, main = spy_solve(monkeypatch), threading.current_thread()
-    for cpus, helped in ((2, []), (3, []), (4, ["DR", "MAP"])):
+    threaded_blocks(monkeypatch, spec)
+    main = threading.current_thread()
+    for cpus in (2, 3, 4):
         allow_cpus(monkeypatch, cpus)
-        run_experiment(spec, jobs=2)
+        with monkeypatch.context() as patch:
+            calls = spy_solve(patch)
+            if cpus == 4:
+                finish_in_reverse(patch, 2)  # fails unless two tasks run at once
+            run_experiment(spec, jobs=2)
         assert serial_pool[0].pop() == 2
-        assert off_main(calls, main) == helped
-        calls.clear()
+        assert main in threads_of(calls) and (len(threads_of(calls)) > 1) == (cpus == 4)
 
 
 def test_overlapping_one_blas_thread_blocks_restore_the_callers_count(two_blas_threads):
