@@ -18,12 +18,11 @@ the output is byte-identical whatever the blocking, ``jobs``, threads or order.
 """
 
 import contextvars
-import ctypes
 import os
 import sys
 import threading
 from collections import Counter
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, partial
 from pathlib import Path
@@ -33,7 +32,7 @@ import numpy as np
 
 from .affine import make_affine_set
 from .box import ROUNDING_TIE_RULE, make_box
-from .linalg import as_integer, as_vector, check_finite, frozen_copy, spectral_norm
+from .linalg import _openblas, as_integer, as_vector, check_finite, frozen_copy, spectral_norm
 from .operator import unit_operator
 # ``run`` is not called here; perfbench/tracing.py wraps ``harness.run`` by name
 from .solvers import ALGORITHMS, SolverConfig, _check_box, _solve, run  # noqa: F401
@@ -214,17 +213,6 @@ def _worker_count(jobs, num_runs):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
     workers = min(jobs, cpus, num_runs)
     return workers, cpus // workers
-
-
-@cache
-def _openblas():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, found once, or None."""
-    with suppress(OSError, AttributeError, StopIteration):  # RTLD_NOLOAD: the copy numpy loaded
-        path = next((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
-        return get, put
 
 
 _blas_lock, _blas_saved = threading.Lock(), []  # the count each open block found: the caller's, then 1s

@@ -8,11 +8,18 @@ boundary are validated once with :func:`as_array` or its
 treated as immutable afterwards.
 """
 
+import ctypes
 import numbers
 import operator
+import os
 import sys
+from contextlib import suppress
+from functools import cache
+from pathlib import Path
 
 import numpy as np
+
+DIRECT_SVD_ENTRIES = 1000  # from here a ctypes call per matrix costs under 5% more than numpy's
 
 
 def as_integer(value, name="value"):
@@ -89,15 +96,50 @@ def frobenius_norm(T):
     return np.sqrt(np.sum(np.square(np.asarray(T, dtype=np.float64)), axis=(-2, -1)))
 
 
+@cache
+def _openblas():
+    """The (get, set) thread-count functions and dgesdd of numpy's bundled OpenBLAS, found once
+    with their argument and result types, or None."""
+    with suppress(OSError, AttributeError, StopIteration):  # RTLD_NOLOAD: the copy numpy loaded
+        path = next((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+        gesdd = lib.scipy_dgesdd_64_  # JOBZ, then 13 pointers: M, N, A, LDA, S, U, ..., IWORK, INFO
+        gesdd.argtypes, gesdd.restype = [ctypes.c_char_p] + [ctypes.c_void_p] * 13, None
+        return get, put, gesdd
+
+
 def spectral_norm(T):
     """Largest singular value (LAPACK SVD) of a matrix, or of each matrix of a stack.
 
     One call over the last two axes serves both: a matrix gives a numpy
     float64 (a float), and a (B, m, n) stack gives B norms, each equal
     bit for bit to the norm of its matrix alone (LAPACK runs on each
-    matrix separately). The zero matrix gives 0.0.
+    matrix separately). The zero matrix gives 0.0. From DIRECT_SVD_ENTRIES
+    entries, a matrix goes to the dgesdd of numpy's bundled OpenBLAS through
+    ctypes, which releases the GIL, called as numpy's svd calls it (same bits).
     """
     T = np.asarray(T, dtype=np.float64)
     if T.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of matrices, got shape {T.shape}")
-    return np.linalg.norm(T, 2, axis=(-2, -1))
+    (m, n), blas = T.shape[-2:], _openblas()
+    if m * n < DIRECT_SVD_ENTRIES or blas is None:
+        return np.linalg.norm(T, 2, axis=(-2, -1))  # numpy's linalg holds the GIL for one matrix
+    a, s, iwork = np.empty((m, n), order="F"), np.empty(min(m, n)), np.empty(8 * min(m, n), np.int64)
+    ints = np.array([m, n, max(m, 1), 1, -1, 0], np.int64)  # M, N, LDA = LDU, LDVT, LWORK, INFO
+    M, N, LD, LDVT, LWORK, INFO = (ints.ctypes.data + 8 * np.arange(6)).tolist()
+    A, S, IWORK = a.ctypes.data, s.ctypes.data, iwork.ctypes.data
+
+    def gesdd(matrix, work):  # numpy's call: JOBZ 'N' on a Fortran-order copy, IWORK of 8 min(m, n)
+        a[...] = matrix
+        blas[2](b"N", M, N, A, LD, S, None, LD, None, LDVT, work, LWORK, IWORK, INFO)
+        if ints[5]:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return s[0]  # LAPACK sorts the singular values in decreasing order
+
+    gesdd(0.0, (query := np.empty(1)).ctypes.data)  # LWORK = -1: a workspace query, into query[0]
+    ints[4] = max(int(query[0]), 1)  # at least 1, as numpy takes it
+    work = np.empty(ints[4])
+    norms = [gesdd(matrix, work.ctypes.data) for matrix in T.reshape(-1, m, n)]
+    return np.array(norms).reshape(T.shape[:-2])[()]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rowcolproj import harness
+from rowcolproj import harness, linalg
 from rowcolproj.affine import make_affine_set
 from rowcolproj.box import make_box
 from rowcolproj.harness import (
@@ -536,7 +536,7 @@ def test_run_block_frees_each_algorithms_traces_before_the_next_engine_call(monk
 @pytest.fixture
 def two_blas_threads():
     """numpy's bundled OpenBLAS at two threads for the test, and its own count again after."""
-    blas = harness._openblas()
+    blas = linalg._openblas()
     if blas is None:
         pytest.skip("numpy's bundled OpenBLAS is not loaded")
     threads = blas[0]()
@@ -774,7 +774,7 @@ def test_overlapping_one_blas_thread_blocks_restore_the_callers_count(two_blas_t
 def test_one_blas_thread_holds_across_many_switching_threads(two_blas_threads):
     # rounds of more threads than CPUs, switching every microsecond: each block runs one
     # thread, and the count is two again once all have left
-    count, interval = harness._openblas()[0], sys.getswitchinterval()
+    count, interval = linalg._openblas()[0], sys.getswitchinterval()
 
     def enter_often(seen):
         for _ in range(2000):

@@ -1,3 +1,8 @@
+import ctypes
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rowcolproj import linalg
 from rowcolproj.linalg import (
+    DIRECT_SVD_ENTRIES,
     as_array,
     as_matrix,
     as_vector,
@@ -78,6 +85,102 @@ def test_spectral_norm_of_a_stack_matches_each_matrix():
         assert norms.shape == shape[:1]
         assert all(norms[b] == spectral_norm(stack[b]) for b in range(shape[0]))
     assert isinstance(spectral_norm(stack[0]), float)
+
+
+def counted_dgesdd(monkeypatch, info=None):
+    """Counts the calls of the bundled dgesdd by spectral_norm, which go on to the real one, or
+    only set INFO to ``info``; skips without the library."""
+    blas, calls = linalg._openblas(), []
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+
+    def dgesdd(*args):
+        calls.append(args)
+        if info is None:
+            return blas[2](*args)
+        ctypes.c_int64.from_address(args[-1]).value = info
+
+    monkeypatch.setattr(linalg, "_openblas", lambda: (*blas[:2], dgesdd))
+    return calls
+
+
+MATRIX_SHAPES = [(4, 5), (5, 4), (1, 7), (7, 1), (27, 37), (25, 40), (32, 48), (48, 32),
+                 (1, 1500), (1500, 1), (256, 384)]  # 999 and 1000 entries at the threshold
+
+
+@pytest.mark.parametrize("lookup", ["bundled", "fallback"])
+@pytest.mark.parametrize("shape", MATRIX_SHAPES)
+def test_spectral_norm_has_numpys_bits_on_either_path(shape, lookup, monkeypatch):
+    if lookup == "fallback":
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        calls = []
+    else:
+        calls = counted_dgesdd(monkeypatch)
+    rng, direct = np.random.default_rng(shape), lookup == "bundled" and np.prod(shape) >= DIRECT_SVD_ENTRIES
+    expected_calls = 0
+    for lead in [(), (1,), (3,), (2, 3)]:
+        for scale in (0.0, 1e-3, 1.0, 1e12):
+            T = rng.normal(size=lead + shape) * scale
+            norms, reference = spectral_norm(T), np.linalg.norm(T, 2, axis=(-2, -1))
+            assert type(norms) is type(reference) and np.shape(norms) == lead
+            assert np.array_equal(np.asarray(norms).view(np.int64), np.asarray(reference).view(np.int64))
+            expected_calls += (1 + int(np.prod(lead))) * direct  # a workspace query, then each matrix
+    assert isinstance(spectral_norm(np.ones(shape)), np.float64)
+    assert len(calls) == expected_calls + 2 * direct
+
+
+def test_spectral_norm_raises_when_dgesdd_does_not_converge(monkeypatch):
+    counted_dgesdd(monkeypatch, info=1)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        spectral_norm(np.ones((32, 48)))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else True,
+                    reason="needs two usable CPUs")
+def test_a_large_spectral_norm_lets_other_threads_run():
+    # numpy's linalg holds the GIL for one matrix or a stack of one (the harness's one-start
+    # blocks), and on that path this thread woke 7.7 ms late; its stacked loop drops it for more
+    if linalg._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    stack, done, late = np.random.default_rng(9).normal(size=(4, 256, 384)), threading.Event(), []
+
+    def norms():
+        for matrix in stack:
+            spectral_norm(matrix)
+            spectral_norm(matrix[None])
+        done.set()
+
+    thread = threading.Thread(target=norms)
+    thread.start()
+    while not done.is_set():
+        begin = time.perf_counter()
+        time.sleep(0.0005)
+        late.append(time.perf_counter() - begin - 0.0005)
+    thread.join()
+    assert len(late) >= 5 and np.median(late) < 0.002
+
+
+def test_spectral_norms_on_more_threads_than_cpus_keep_numpys_bits():
+    # every thread in the bundled dgesdd at once, switching every microsecond
+    stack = np.random.default_rng(10).normal(size=(6, 32, 48))
+    reference, results = np.linalg.norm(stack, 2, axis=(-2, -1)), []
+
+    def compute():
+        results.extend(spectral_norm(stack) for _ in range(20))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=compute) for _ in range((os.cpu_count() or 1) + 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 20 * len(threads)
+    assert all(np.array_equal(norms.view(np.int64), reference.view(np.int64)) for norms in results)
 
 
 def test_spectral_norm_of_zero_stacks():
