@@ -204,8 +204,8 @@ def build_parser():
                        help="default: the config's num_runs")
     _add_spec_flags(p_exp)
     p_exp.add_argument("--out-dir", default="experiment-out")
-    p_exp.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (at most one per usable CPU)")
+    p_exp.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per usable CPU; each runs a large batch's (block, "
+                       "algorithm) tasks on threads over its CPUs, so --jobs 1 uses every CPU once blocks reach BLOCK_ENTRIES / 2 entries")
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 
